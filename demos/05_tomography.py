@@ -12,11 +12,11 @@ from phasebus.states import StateVector
 
 config = load_config("demos/device_config.json")
 j, k = 1, 2
-prepare = lambda: run_bell(config, j, k).final_state
+state = run_bell(config, j, k).final_state
 target = StateVector(np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2))
 
-exact = tomography_two_qubit(prepare, j, k, config, None,
-                             ReadoutModel(1.0, seed=0), target=target)
+exact = tomography_two_qubit(state, j, k, None, ReadoutModel(1.0, seed=0),
+                             target=target)
 print(f"infinite-shot reconstruction, perfect readout:")
 print(f"  fidelity vs (|ge> + |eg>)/sqrt(2): {exact.fidelity_vs_target:.12f}")
 print(f"  physical (lowest eigenvalue >= -1e-6): {exact.physical}")
@@ -24,8 +24,8 @@ print("  rho (real part):")
 for row in np.real(exact.rho.matrix):
     print("   " + "  ".join(f"{v:+.4f}" for v in row))
 
-noisy = tomography_two_qubit(prepare, j, k, config, 100_000,
-                             ReadoutModel(0.96, seed=3), target=target)
+noisy = tomography_two_qubit(state, j, k, 100_000, ReadoutModel(0.96, seed=3),
+                             target=target)
 print(f"\n100k shots per setting at F = 0.96:")
 print(f"  fidelity vs target: {noisy.fidelity_vs_target:.4f} "
       f"(readout bias alone predicts {(1 + 3 * 0.92**2) / 4:.4f})")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -18,7 +19,6 @@ from .config_io import load_config
 from .device import ConfigError, DeviceConfig, ProtocolError, rwa_infidelity
 from .measurement import ReadoutModel, estimate_witness_sampled, tomography_two_qubit
 from .protocols import (
-    apply_phase_corrections,
     run_bell,
     run_cluster_protocol,
     run_w_protocol,
@@ -33,6 +33,7 @@ from .witnesses import (
     group_settings,
     w3_witness_decomposed,
     w_witness,
+    witness_to_csv,
     witness_value_exact,
 )
 
@@ -160,9 +161,7 @@ def _cmd_cluster(args, config: DeviceConfig) -> Report:
         report.add(f"corrected_fidelity_{variant}", fid)
     report.add("sequence_inexact", corr.sequence_inexact)
 
-    best_rep, _ = run_cluster_protocol(config, args.n, corr.best_bus_init)
-    corrected = apply_phase_corrections(best_rep.final_state, corr.exponents)
-    tls_state = tls_register_state(corrected, args.n)
+    tls_state = tls_register_state(corr.corrected_state, args.n)
     for idx, gen in enumerate(cluster_stabilizers(args.n), start=1):
         report.add(f"stabilizer_{idx}", expectation(tls_state, gen))
     if args.search_corrections:
@@ -181,26 +180,18 @@ def _witness_preparation(args, config: DeviceConfig):
         if args.decomposed and n != 3:
             raise ProtocolError("--decomposed applies to the three-qubit W witness")
         witness = w3_witness_decomposed() if (args.decomposed and n == 3) else w_witness(n)
-
-        def prepare():
-            return run_w_protocol(config, n).final_state
-
+        state = run_w_protocol(config, n).final_state
     else:
         if args.decomposed:
             raise ProtocolError("--decomposed applies to the three-qubit W witness")
         witness = cluster_witness(n)
         _, corr = run_cluster_protocol(config, n)
-        variant = corr.best_bus_init
-
-        def prepare():
-            rep, _ = run_cluster_protocol(config, n, variant)
-            return apply_phase_corrections(rep.final_state, corr.exponents)
-
-    return witness, n, prepare
+        state = corr.corrected_state
+    return witness, n, state
 
 
 def _cmd_witness(args, config: DeviceConfig) -> Report:
-    witness, n, prepare = _witness_preparation(args, config)
+    witness, n, state = _witness_preparation(args, config)
     report = Report(
         _manifest(
             args,
@@ -208,44 +199,31 @@ def _cmd_witness(args, config: DeviceConfig) -> Report:
              "shots": args.shots},
         )
     )
-    tls_state = tls_register_state(prepare(), n)
+    tls_state = tls_register_state(state, n)
     report.add("exact_value", witness_value_exact(tls_state, witness))
     settings = group_settings(witness)
     report.add("settings", len(settings), units="count")
     if args.shots > 0:
         readout = ReadoutModel(config.readout_fidelity, args.seed)
         est = estimate_witness_sampled(
-            prepare, witness, config, args.shots, readout,
-            keep_records=args.emit_shots,
+            state, witness, args.shots, readout, keep_records=args.emit_shots
         )
         report.add("estimate", est.value, stderr=est.stderr)
         report.add("readout_bias_factor", est.bias_factor)
         if args.emit_shots and est.records:
             for idx, record in enumerate(est.records):
-                name = f"shots_setting_{idx}.csv"
-                rows = record.outcomes.tolist()
-                header = [f"q{q}:{b}" for q, b in zip(record.qubits, record.bases)]
-                report.attach_csv(name, header, rows)
-    report.attach_csv(
-        "witness_terms.csv",
-        ["coefficient", "pauli_string"],
-        [(float(c), p.labels) for c, p in witness.terms],
-    )
+                report.attach_file(f"shots_setting_{idx}.csv", record.to_csv)
+    report.attach_file("witness_terms.csv", functools.partial(witness_to_csv, witness))
     return report
 
 
 def _cmd_tomo(args, config: DeviceConfig) -> Report:
     j, k = _parse_pair(args.target)
     target = StateVector(np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2))
-
-    def prepare():
-        return run_bell(config, j, k).final_state
-
+    state = run_bell(config, j, k).final_state
     readout = ReadoutModel(config.readout_fidelity, args.seed)
     shots = args.shots if args.shots > 0 else None
-    result = tomography_two_qubit(
-        prepare, j, k, config, shots, readout, target=target
-    )
+    result = tomography_two_qubit(state, j, k, shots, readout, target=target)
     report = Report(_manifest(args, {"target": args.target, "shots": args.shots}))
     report.add("fidelity_vs_target", result.fidelity_vs_target)
     report.add("physical", result.physical)

@@ -37,10 +37,10 @@ class TlsParams:
     coupling: float
 
     def __post_init__(self):
-        if self.omega_r <= 0:
-            raise ConfigError(f"TLS {self.id}: omega_r must be positive")
-        if self.coupling <= 0:
-            raise ConfigError(f"TLS {self.id}: coupling must be positive")
+        if not np.isfinite(self.omega_r) or self.omega_r <= 0:
+            raise ConfigError(f"TLS {self.id}: omega_r must be positive and finite")
+        if not np.isfinite(self.coupling) or self.coupling <= 0:
+            raise ConfigError(f"TLS {self.id}: coupling must be positive and finite")
         if self.coupling / self.omega_r > 0.05:
             warnings.warn(
                 f"TLS {self.id}: coupling/omega_r = "
@@ -71,8 +71,9 @@ class BiasModel:
     critical_current: float = 1.0
 
     def __post_init__(self):
-        if self.omega_p0 <= 0 or self.critical_current <= 0:
-            raise ConfigError("bias model parameters must be positive")
+        params = (self.omega_p0, self.critical_current)
+        if not all(np.isfinite(v) and v > 0 for v in params):
+            raise ConfigError("bias model parameters must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,8 @@ class DeviceConfig:
     bias_model: BiasModel | None = None
 
     def __post_init__(self):
-        if self.omega10 <= 0:
-            raise ConfigError("omega10 must be positive")
+        if not np.isfinite(self.omega10) or self.omega10 <= 0:
+            raise ConfigError("omega10 must be positive and finite")
         if not 0.5 < self.readout_fidelity <= 1.0:
             raise ConfigError(
                 f"readout fidelity {self.readout_fidelity} outside (0.5, 1]"
@@ -94,6 +95,10 @@ class DeviceConfig:
         tls = tuple(sorted(self.tls, key=lambda t: t.omega_r))
         if not 1 <= len(tls) <= MAX_TLS:
             raise ConfigError(f"need 1..{MAX_TLS} TLSs, got {len(tls)}")
+        ids = [t.id for t in tls]
+        repeated = sorted({i for i in ids if ids.count(i) > 1})
+        if repeated:
+            raise ConfigError(f"TLS ids must be unique; repeated: {', '.join(repeated)}")
         for a, b in zip(tls, tls[1:]):
             if abs(a.omega_r - b.omega_r) <= a.coupling + b.coupling:
                 raise ConfigError(

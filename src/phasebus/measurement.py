@@ -8,11 +8,12 @@ projective bus measurement whose *reported* outcome is flipped with
 probability 1 - F.  Within a shot, TLSs are read in ascending index order
 with a bus reset between reads.
 
-Shots can be drawn two ways: ``physical`` walks the explicit
-transfer/collapse sequence state by state; ``fast`` samples the same
-conditional outcome chain directly from the rotated state's Born
-distribution.  Both consume the random stream identically and produce
-bit-identical records.
+The sampler does not replay that sequence shot by shot: it draws the
+conditional outcome chain the sequence produces directly from the rotated
+state's Born distribution, with one uniform draw per shot and read qubit
+for the true outcome and one for the report flip.  Witness estimation and
+tomography measure copies of one prepared register state, setting by
+setting.
 """
 
 from __future__ import annotations
@@ -240,15 +241,13 @@ def sample_shots(
     shots: int,
     readout: ReadoutModel,
     rng: np.random.Generator,
-    config: DeviceConfig | None = None,
-    method: str = "fast",
 ) -> ShotRecord:
     """Draw reported +-1 outcomes for the listed TLS qubits.
 
     ``qubits`` must be ascending register indices; ``bases`` gives the
-    measured axis per qubit.  ``fast`` and ``physical`` consume the uniform
-    stream identically: per shot, per qubit, one draw decides the true
-    outcome and one the report flip.
+    measured axis per qubit.  Per shot, per qubit, one uniform draw decides
+    the true outcome and one the report flip, in the order a sequential
+    transfer-and-read of the qubits would consume them.
     """
     qubits = list(qubits)
     bases = list(bases)
@@ -259,35 +258,13 @@ def sample_shots(
     m = len(qubits)
     uniforms = rng.random((shots, m, 2))
 
-    if method == "fast":
-        rotated = state
-        for q, b in zip(qubits, bases):
-            rotated = rotate_for_basis(rotated, q, b)
-        probs = _measured_probabilities(rotated, qubits)
-        true = _sample_true_outcomes(probs, uniforms[:, :, 0])
-        flips = (uniforms[:, :, 1] < 1.0 - readout.fidelity).astype(int)
-        reported = true ^ flips
-    elif method == "physical":
-        if config is None:
-            raise ValueError("physical sampling needs the device config")
-        from .protocols import reset_bus
-
-        reported = np.zeros((shots, m), dtype=int)
-        for s in range(shots):
-            psi = state
-            for q, b in zip(qubits, bases):
-                psi = rotate_for_basis(psi, q, b)
-            for k, q in enumerate(qubits):
-                if k > 0:
-                    psi = reset_bus(psi)
-                result = read_tls(
-                    psi, q, config, readout,
-                    _u_true=uniforms[s, k, 0], _u_flip=uniforms[s, k, 1],
-                )
-                reported[s, k] = result.outcome
-                psi = result.state
-    else:
-        raise ValueError(f"unknown sampling method {method!r}")
+    rotated = state
+    for q, b in zip(qubits, bases):
+        rotated = rotate_for_basis(rotated, q, b)
+    probs = _measured_probabilities(rotated, qubits)
+    true = _sample_true_outcomes(probs, uniforms[:, :, 0])
+    flips = (uniforms[:, :, 1] < 1.0 - readout.fidelity).astype(int)
+    reported = true ^ flips
 
     pm = 1 - 2 * reported
     return ShotRecord(tuple(qubits), tuple(bases), pm, shots)
@@ -308,28 +285,28 @@ class WitnessEstimate:
 
 
 def estimate_witness_sampled(
-    prepare,
+    state: StateVector,
     witness: WitnessOperator,
-    config: DeviceConfig,
     shots_per_setting: int,
     readout: ReadoutModel,
-    method: str = "fast",
     keep_records: bool = False,
 ) -> WitnessEstimate:
     """Estimate a witness from shots, one local setting at a time.
 
-    ``prepare`` is a zero-argument callable returning a fresh register
-    state (bus + TLSs) with the bus in |0>; witness qubit q lives on TLS
-    q+1.  The estimate combines the per-setting shot values with the
-    witness offset; the standard error adds the per-setting sample
+    ``state`` is the prepared register state (bus + TLSs) with the bus in
+    |0>; every setting measures its own copies of it, and witness qubit q
+    lives on TLS q+1.  The estimate combines the per-setting shot values
+    with the witness offset; the standard error adds the per-setting sample
     variances.  No readout-bias correction is applied: at F < 1 the raw
     estimate shrinks by (2F - 1) per measured qubit and ``bias_factor``
     reports that factor.
     """
     if shots_per_setting < 1:
         raise ValueError("need at least one shot per setting")
-    settings = group_settings(witness)
     n = witness.qubit_count
+    if state.num_qubits < n + 1:
+        raise ValueError("prepared state smaller than the witness register")
+    settings = group_settings(witness)
     qubits = list(range(1, n + 1))
 
     total = witness.offset
@@ -337,12 +314,8 @@ def estimate_witness_sampled(
     means, errs, records = [], [], []
     for idx, setting in enumerate(settings):
         rng = derive_rng(readout.seed, f"witness-setting-{idx}")
-        state = prepare()
-        if state.num_qubits < n + 1:
-            raise ValueError("prepared state smaller than the witness register")
         record = sample_shots(
-            state, qubits, setting.bases, shots_per_setting, readout, rng,
-            config=config, method=method,
+            state, qubits, setting.bases, shots_per_setting, readout, rng
         )
         values = _shot_values(setting, record.outcomes)
         mean = float(values.mean())
@@ -392,16 +365,15 @@ class TomographyResult:
 
 
 def tomography_two_qubit(
-    prepare,
+    state: StateVector,
     j: int,
     k: int,
-    config: DeviceConfig,
     shots_per_setting: int | None,
     readout: ReadoutModel,
     target: StateVector | None = None,
-    method: str = "fast",
 ) -> TomographyResult:
-    """Reconstruct the (TLS j, TLS k) density matrix by linear inversion.
+    """Reconstruct the (TLS j, TLS k) density matrix of a prepared register
+    state (bus + TLSs) by linear inversion.
 
     Nine settings {x,y,z} x {x,y,z} are measured; identity-containing
     expectations come from single-qubit marginals pooled over compatible
@@ -412,15 +384,16 @@ def tomography_two_qubit(
     """
     if j == k:
         raise ValueError("tomography needs two distinct TLSs")
-    config.tls_params(j)
-    config.tls_params(k)
+    num_tls = state.num_qubits - 1
+    for q in (j, k):
+        if not 1 <= q <= num_tls:
+            raise ProtocolError(f"TLS index {q} out of range 1..{num_tls}")
     exact = shots_per_setting is None
     bias = readout.bias_factor
 
     e = np.zeros((4, 4))
     e[0, 0] = 1.0
     if exact:
-        state = prepare()
         n = state.num_qubits
         for a in range(4):
             for b in range(4):
@@ -441,11 +414,10 @@ def tomography_two_qubit(
         for a in (1, 2, 3):
             for b in (1, 2, 3):
                 rng = derive_rng(readout.seed, f"tomo-{_AXES[a]}{_AXES[b]}")
-                state = prepare()
                 basis_by_qubit = {j: _AXES[a].lower(), k: _AXES[b].lower()}
                 record = sample_shots(
                     state, qubits, [basis_by_qubit[q] for q in qubits],
-                    shots_per_setting, readout, rng, config=config, method=method,
+                    shots_per_setting, readout, rng,
                 )
                 o_j = record.outcomes[:, col_j]
                 o_k = record.outcomes[:, col_k]

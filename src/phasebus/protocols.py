@@ -236,7 +236,8 @@ class CorrectionReport:
     Z^{3pi/2}} and ``exponents`` the matching k of diag(1, i^k);
     ``fidelity_by_init`` records the best corrected fidelity of each bus
     preparation variant; ``sequence_inexact`` is True when no searched
-    correction reproduces the target within 1e-6.
+    correction reproduces the target within 1e-6.  ``corrected_state`` is
+    the best variant's final register state with its corrections applied.
     """
 
     best_fidelity: float
@@ -246,6 +247,7 @@ class CorrectionReport:
     fidelity_by_init: dict[str, float]
     uncorrected_fidelity: float
     sequence_inexact: bool
+    corrected_state: StateVector
 
 
 def _bus_ground_report(state: StateVector) -> tuple[bool, np.ndarray]:
@@ -542,7 +544,8 @@ def run_cluster_protocol(
 
     The report scores the requested bus preparation; the correction search
     always covers both preparations and every per-TLS Z^{k pi/2} choice,
-    recording which combination best matches the cluster target.
+    recording which combination best matches the cluster target and the
+    state it produces.
     """
     target = cluster_state(n)
     results = {}
@@ -553,7 +556,8 @@ def run_cluster_protocol(
         results[variant] = (schedule, final, best, labels, idx)
 
     best_variant = max(results, key=lambda v: results[v][2])
-    _, _, best, labels, idx = results[best_variant]
+    _, best_final, best, labels, idx = results[best_variant]
+    exponents = tuple(int(k) for k in idx)
     req_sched, req_final = results[bus_init][0], results[bus_init][1]
 
     target_full = _embed_tls_state(target, config.num_tls)
@@ -569,9 +573,10 @@ def run_cluster_protocol(
         best_fidelity=best,
         best_bus_init=best_variant,
         corrections=labels,
-        exponents=tuple(int(k) for k in idx),
+        exponents=exponents,
         fidelity_by_init={v: results[v][2] for v in results},
         uncorrected_fidelity=report.target_fidelity,
         sequence_inexact=best < 1.0 - 1e-6,
+        corrected_state=apply_phase_corrections(best_final, exponents),
     )
     return report, correction

@@ -35,6 +35,10 @@ class Report:
     def attach_text(self, name: str, text: str):
         self.attachments[name] = text
 
+    def attach_file(self, name: str, write):
+        """Attach a file in a format another module owns: ``write(path)``."""
+        self.attachments[name] = write
+
 
 def emit_report(report: Report, outdir) -> list[str]:
     """Write report.txt, report.csv and attachments; returns written paths."""
@@ -77,7 +81,9 @@ def emit_report(report: Report, outdir) -> list[str]:
 
     for name, payload in sorted(report.attachments.items()):
         path = os.path.join(outdir, name)
-        if isinstance(payload, str):
+        if callable(payload):
+            payload(path)
+        elif isinstance(payload, str):
             with open(path, "w") as fh:
                 fh.write(payload)
         else:

@@ -132,15 +132,12 @@ def synth_spectroscopy(config: DeviceConfig, bias_grid) -> SpectroscopyScan:
 def _level_branches(fq: np.ndarray, f_tls: np.ndarray, couplings: np.ndarray):
     """Sorted eigenvalues of the coupled (bus + TLS) level block per bias."""
     n = f_tls.size
-    block = np.zeros((n + 1, n + 1))
-    block[1:, 1:] = np.diag(f_tls)
-    block[0, 1:] = couplings / 2.0
-    block[1:, 0] = couplings / 2.0
-    out = np.empty((fq.size, n + 1))
-    for i, f in enumerate(fq):
-        block[0, 0] = f
-        out[i] = np.linalg.eigvalsh(block)
-    return out
+    blocks = np.zeros((fq.size, n + 1, n + 1))
+    blocks[:, 1:, 1:] = np.diag(f_tls)
+    blocks[:, 0, 1:] = couplings / 2.0
+    blocks[:, 1:, 0] = couplings / 2.0
+    blocks[:, 0, 0] = fq
+    return np.linalg.eigvalsh(blocks)
 
 
 def _observed_crossings(bias, branches):

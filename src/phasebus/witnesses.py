@@ -54,16 +54,6 @@ class MeasurementSetting:
             if b not in BASIS_LABELS:
                 raise ValueError(f"unknown basis label {b!r}")
 
-    def shot_value(self, outcomes) -> float:
-        """Witness contribution of one shot (outcomes are +-1 per qubit)."""
-        total = 0.0
-        for coeff, support in self.shot_terms:
-            v = coeff
-            for q in support:
-                v *= outcomes[q]
-            total += v
-        return total
-
 
 @dataclass
 class WitnessOperator:
@@ -251,18 +241,12 @@ def _stabilizer_products(gens: list[PauliString], n: int):
     return subsets
 
 
-CLUSTER_FORM_PROJECTOR = "projector"
-CLUSTER_FORM_LITERAL = "literal"
-
-
-def cluster_witness(n: int, form: str = CLUSTER_FORM_PROJECTOR) -> WitnessOperator:
+def cluster_witness(n: int) -> WitnessOperator:
     """Witness 3I - 2[P_even + P_odd] built from the chain stabilizers.
 
-    The projector form uses P = prod (S_k + I)/2 over the even/odd
-    generators and detects the cluster state with value -1.  The ``literal``
-    form replaces each projector by prod S_k / 2; it is *not* a working
-    witness (its value on the target state is non-negative) and is kept only
-    so that the difference stays demonstrable.
+    P = prod (S_k + I)/2 over the even/odd generators projects onto their
+    joint +1 eigenspace; the witness detects the cluster state with value
+    -1.
     """
     gens = list(cluster_stabilizers(n))
     evens = [gens[k - 1] for k in range(2, n + 1, 2)]
@@ -274,19 +258,10 @@ def cluster_witness(n: int, form: str = CLUSTER_FORM_PROJECTOR) -> WitnessOperat
         terms[pauli.labels] = terms.get(pauli.labels, 0.0) + coeff
 
     add(3.0, PauliString("I" * n))
-    if form == CLUSTER_FORM_PROJECTOR:
-        for group in (evens, odds):
-            scale = -2.0 / (2 ** len(group))
-            for _, prod in _stabilizer_products(group, n):
-                add(scale, prod)
-    elif form == CLUSTER_FORM_LITERAL:
-        for group in (evens, odds):
-            prod = PauliString("I" * n)
-            for g in group:
-                _, prod = pauli_mul(prod, g)
-            add(-2.0 / (2 ** len(group)), prod)
-    else:
-        raise ValueError(f"unknown cluster witness form {form!r}")
+    for group in (evens, odds):
+        scale = -2.0 / (2 ** len(group))
+        for _, prod in _stabilizer_products(group, n):
+            add(scale, prod)
 
     term_list = [
         (coeff, PauliString(labels))

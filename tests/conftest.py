@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from phasebus.device import BiasModel, DeviceConfig, TlsParams
+from phasebus.paulis import PauliString, pauli_mul
+from phasebus.witnesses import WitnessOperator, cluster_stabilizers
 
 GHZ = 2 * np.pi * 1e9
 MHZ = 2 * np.pi * 1e6
@@ -31,6 +33,23 @@ def ten_defect_config(seed: int = 42, num_tls: int = 10) -> DeviceConfig:
         readout_fidelity=0.96,
         bias_model=BiasModel(omega_p0=2 * np.pi * 7.6e9),
     )
+
+
+def literal_cluster_operator(n: int) -> WitnessOperator:
+    """3I - 2[S_even + S_odd] with each stabilizer projector replaced by the
+    bare generator product prod S_k / 2^{|group|}.
+
+    This is *not* a witness: its value on the cluster state it targets is
+    non-negative.  Tests build it to show why the projector form is needed.
+    """
+    gens = list(cluster_stabilizers(n))
+    terms = [(3.0, PauliString("I" * n))]
+    for group in (gens[1::2], gens[0::2]):
+        prod = PauliString("I" * n)
+        for g in group:
+            _, prod = pauli_mul(prod, g)
+        terms.append((-2.0 / (2 ** len(group)), prod))
+    return WitnessOperator(terms, f"C_{n}", n)
 
 
 @pytest.fixture

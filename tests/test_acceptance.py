@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import GHZ, ten_defect_config, simple_config
+from conftest import GHZ, literal_cluster_operator, ten_defect_config, simple_config
 from phasebus.cli import main as cli_main
 from phasebus.device import DeviceConfig, TlsParams, rwa_infidelity
 from phasebus.measurement import (
@@ -21,7 +21,6 @@ from phasebus.measurement import (
     tomography_two_qubit,
 )
 from phasebus.protocols import (
-    apply_phase_corrections,
     cluster_state,
     run_bell,
     run_cluster_protocol,
@@ -151,7 +150,7 @@ def test_c07_cluster_witness():
     ok &= worst < 1e-10
     setting_counts = {n: len(group_settings(cluster_witness(n))) for n in range(2, 11)}
     ok &= all(c == 2 for c in setting_counts.values())
-    literal = witness_value_exact(cluster_state(4), cluster_witness(4, form="literal"))
+    literal = witness_value_exact(cluster_state(4), literal_cluster_operator(4))
     ok &= literal >= 0.0
     report(
         7, ok,
@@ -202,26 +201,22 @@ def test_c09_sampled_estimation():
     wd = w3_witness_decomposed()
     cw = cluster_witness(4)
 
-    prep_w = lambda: run_w_protocol(cfg3, 3).final_state
-    _, corr = run_cluster_protocol(cfg4, 4)
-
-    def prep_c():
-        rep, _ = run_cluster_protocol(cfg4, 4, corr.best_bus_init)
-        return apply_phase_corrections(rep.final_state, corr.exponents)
+    state_w = run_w_protocol(cfg3, 3).final_state
+    state_c = run_cluster_protocol(cfg4, 4)[1].corrected_state
 
     hits = {"W3": 0, "C4": 0}
     for rep_idx in range(20):
-        for name, prep, witness, cfg, exact in (
-            ("W3", prep_w, wd, cfg3, -1 / 3),
-            ("C4", prep_c, cw, cfg4, -1.0),
+        for name, state, witness, exact in (
+            ("W3", state_w, wd, -1 / 3),
+            ("C4", state_c, cw, -1.0),
         ):
             ro = ReadoutModel(1.0, seed=1000 + rep_idx)
-            est = estimate_witness_sampled(prep, witness, cfg, 100_000, ro)
+            est = estimate_witness_sampled(state, witness, 100_000, ro)
             if abs(est.value - exact) <= 4 * est.stderr:
                 hits[name] += 1
     # stderr scaling: quadrupling the shots halves the error within 20%
-    small = estimate_witness_sampled(prep_w, wd, cfg3, 25_000, ReadoutModel(1.0, 7000))
-    large = estimate_witness_sampled(prep_w, wd, cfg3, 100_000, ReadoutModel(1.0, 7001))
+    small = estimate_witness_sampled(state_w, wd, 25_000, ReadoutModel(1.0, 7000))
+    large = estimate_witness_sampled(state_w, wd, 100_000, ReadoutModel(1.0, 7001))
     ratio = large.stderr / small.stderr
     ok = all(h >= 19 for h in hits.values()) and 0.4 < ratio < 0.6
     report(
@@ -246,13 +241,11 @@ def test_c10_readout_frequency():
 def test_c11_tomography():
     cfg = simple_config(3)
     target = StateVector(np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2))
-    prepare = lambda: run_bell(cfg, 1, 2).final_state
+    state = run_bell(cfg, 1, 2).final_state
 
-    exact = tomography_two_qubit(
-        prepare, 1, 2, cfg, None, ReadoutModel(1.0, 0), target=target
-    )
+    exact = tomography_two_qubit(state, 1, 2, None, ReadoutModel(1.0, 0), target=target)
     noisy = tomography_two_qubit(
-        prepare, 1, 2, cfg, 100_000, ReadoutModel(0.96, 17), target=target
+        state, 1, 2, 100_000, ReadoutModel(0.96, 17), target=target
     )
     ok = (
         abs(exact.fidelity_vs_target - 1.0) < 1e-10

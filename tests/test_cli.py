@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -8,6 +9,9 @@ import pytest
 from phasebus.cli import main
 from phasebus.config_io import example_config_dict, load_config, parse_config
 from phasebus.device import ConfigError
+from phasebus.measurement import ReadoutModel, ShotRecord, estimate_witness_sampled
+from phasebus.protocols import run_w_protocol
+from phasebus.witnesses import w3_witness_decomposed, witness_from_csv
 
 
 @pytest.fixture
@@ -60,6 +64,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             parse_config({"device": {"omega10_ghz": 6.0}, "tls": []})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "section,field",
+        [("tls", "omega_r_ghz"), ("tls", "splitting_mhz"),
+         ("device", "omega10_ghz"), ("device", "omega_p0_ghz")],
+    )
+    def test_non_finite_value_rejected(self, section, field, value):
+        data = {
+            "device": {"omega10_ghz": 6.0, "omega_p0_ghz": 7.6},
+            "tls": [{"id": "a", "omega_r_ghz": 5.0, "splitting_mhz": 40.0}],
+        }
+        (data["tls"][0] if section == "tls" else data["device"])[field] = value
+        with pytest.raises(ConfigError):
+            parse_config(data)
+
     def test_units_conversion(self):
         data = {
             "device": {"omega10_ghz": 6.0},
@@ -99,6 +118,20 @@ class TestExitCodes:
             ],
         }
         path = tmp_path / "clash.json"
+        path.write_text(json.dumps(data))
+        rc = main(["w-state", "--config", str(path), "--n", "2",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+
+    def test_duplicate_tls_id(self, tmp_path):
+        data = {
+            "device": {"omega10_ghz": 6.0},
+            "tls": [
+                {"id": "x", "omega_r_ghz": 5.0, "splitting_mhz": 40.0},
+                {"id": "x", "omega_r_ghz": 5.4, "splitting_mhz": 40.0},
+            ],
+        }
+        path = tmp_path / "dup.json"
         path.write_text(json.dumps(data))
         rc = main(["w-state", "--config", str(path), "--n", "2",
                    "--out", str(tmp_path / "o")])
@@ -193,6 +226,27 @@ class TestWitnessCommand:
         assert rc == 0
         assert os.path.exists(os.path.join(out, "shots_setting_0.csv"))
         assert os.path.exists(os.path.join(out, "shots_setting_1.csv"))
+
+    def test_emitted_csvs_read_back(self, small_config_path, tmp_path):
+        out = str(tmp_path / "csv")
+        rc = main(["witness", "--config", small_config_path, "--target", "w3",
+                   "--decomposed", "--shots", "50", "--emit-shots", "--out", out])
+        assert rc == 0
+        witness = w3_witness_decomposed()
+        state = run_w_protocol(load_config(small_config_path), 3).final_state
+        est = estimate_witness_sampled(
+            state, witness, 50, ReadoutModel(0.96, 0), keep_records=True
+        )
+        assert len(est.records) == 5
+        for idx, record in enumerate(est.records):
+            back = ShotRecord.from_csv(os.path.join(out, f"shots_setting_{idx}.csv"))
+            assert (back.qubits, back.bases) == (record.qubits, record.bases)
+            assert np.array_equal(back.outcomes, record.outcomes)
+        assert not os.path.exists(os.path.join(out, "shots_setting_5.csv"))
+        terms = witness_from_csv(os.path.join(out, "witness_terms.csv")).terms
+        assert [(c, p.labels) for c, p in terms] == [
+            (c, p.labels) for c, p in witness.terms
+        ]
 
     def test_bad_target(self, small_config_path, tmp_path):
         rc = main(["witness", "--config", small_config_path, "--target", "q9",

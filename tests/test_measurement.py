@@ -16,7 +16,6 @@ from phasebus.measurement import (
 )
 from phasebus.paulis import SIGMA
 from phasebus.protocols import (
-    apply_phase_corrections,
     reset_bus,
     run_bell,
     run_cluster_protocol,
@@ -26,6 +25,7 @@ from phasebus.states import StateVector, basis_state
 from phasebus.witnesses import (
     cluster_witness,
     w3_witness_decomposed,
+    w_witness,
 )
 
 
@@ -147,19 +147,41 @@ class TestRotateForBasis:
             rotate_for_basis(basis_state("0"), 0, "w")
 
 
+def physical_shots(state, qubits, bases, shots, config, readout, rng):
+    """Oracle for ``sample_shots``: walk the explicit per-shot sequence.
+
+    Each shot rotates the TLSs into their bases, then transfers and reads
+    them in ascending order with a bus reset between reads, taking its
+    uniforms from the stream in the same order as the sampler.
+    """
+    uniforms = rng.random((shots, len(qubits), 2))
+    reported = np.zeros((shots, len(qubits)), dtype=int)
+    for s in range(shots):
+        psi = state
+        for q, b in zip(qubits, bases):
+            psi = rotate_for_basis(psi, q, b)
+        for k, q in enumerate(qubits):
+            if k > 0:
+                psi = reset_bus(psi)
+            result = read_tls(
+                psi, q, config, readout,
+                _u_true=uniforms[s, k, 0], _u_flip=uniforms[s, k, 1],
+            )
+            reported[s, k] = result.outcome
+            psi = result.state
+    return 1 - 2 * reported
+
+
 class TestSampleShots:
     def test_fast_and_physical_agree_bitwise(self, config3):
         state = run_w_protocol(config3, 3).final_state
         ro = ReadoutModel(0.96, seed=11)
         for bases in (("z", "z", "z"), ("z+x", "z+x", "z+x"), ("x", "y", "z")):
-            fast = sample_shots(
-                state, [1, 2, 3], bases, 300, ro, derive_rng(5, "cmp"), method="fast"
+            fast = sample_shots(state, [1, 2, 3], bases, 300, ro, derive_rng(5, "cmp"))
+            phys = physical_shots(
+                state, [1, 2, 3], bases, 300, config3, ro, derive_rng(5, "cmp")
             )
-            phys = sample_shots(
-                state, [1, 2, 3], bases, 300, ro, derive_rng(5, "cmp"),
-                config=config3, method="physical",
-            )
-            assert np.array_equal(fast.outcomes, phys.outcomes)
+            assert np.array_equal(fast.outcomes, phys)
 
     def test_requires_ascending_qubits(self, config3):
         state = run_w_protocol(config3, 3).final_state
@@ -193,22 +215,16 @@ class TestSampleShots:
 class TestWitnessEstimation:
     def test_converges_to_exact_w3(self, config3):
         wd = w3_witness_decomposed()
-        prepare = lambda: run_w_protocol(config3, 3).final_state
+        state = run_w_protocol(config3, 3).final_state
         ro = ReadoutModel(1.0, seed=21)
-        est = estimate_witness_sampled(prepare, wd, config3, 100000, ro)
+        est = estimate_witness_sampled(state, wd, 100000, ro)
         assert abs(est.value - (-1 / 3)) <= 4 * est.stderr
         assert est.stderr < 0.01
 
     def test_converges_to_exact_cluster(self):
-        cfg = simple_config(4)
-        _, corr = run_cluster_protocol(cfg, 4)
-
-        def prepare():
-            rep, _ = run_cluster_protocol(cfg, 4, corr.best_bus_init)
-            return apply_phase_corrections(rep.final_state, corr.exponents)
-
+        _, corr = run_cluster_protocol(simple_config(4), 4)
         ro = ReadoutModel(1.0, seed=22)
-        est = estimate_witness_sampled(prepare, cluster_witness(4), cfg, 20000, ro)
+        est = estimate_witness_sampled(corr.corrected_state, cluster_witness(4), 20000, ro)
         assert abs(est.value - (-1.0)) <= max(4 * est.stderr, 1e-9)
 
     def test_generic_w4_witness_samples_without_special_grouping(self, config5):
@@ -218,27 +234,23 @@ class TestWitnessEstimation:
         w4 = w_witness(4)
         settings = group_settings(w4)
         assert len(settings) > 2  # no compact decomposition claimed
-        prepare = lambda: run_w_protocol(config5, 4).final_state
-        est = estimate_witness_sampled(prepare, w4, config5, 20000, ReadoutModel(1.0, 51))
+        state = run_w_protocol(config5, 4).final_state
+        est = estimate_witness_sampled(state, w4, 20000, ReadoutModel(1.0, 51))
         assert abs(est.value - (-0.25)) <= 4 * est.stderr
 
     def test_stderr_halves_with_quadrupled_shots(self, config3):
         wd = w3_witness_decomposed()
-        prepare = lambda: run_w_protocol(config3, 3).final_state
-        small = estimate_witness_sampled(prepare, wd, config3, 25000, ReadoutModel(1.0, 31))
-        large = estimate_witness_sampled(prepare, wd, config3, 100000, ReadoutModel(1.0, 32))
+        state = run_w_protocol(config3, 3).final_state
+        small = estimate_witness_sampled(state, wd, 25000, ReadoutModel(1.0, 31))
+        large = estimate_witness_sampled(state, wd, 100000, ReadoutModel(1.0, 32))
         ratio = large.stderr / small.stderr
         assert 0.4 < ratio < 0.6
 
     def test_deterministic_records(self, config3):
         wd = w3_witness_decomposed()
-        prepare = lambda: run_w_protocol(config3, 3).final_state
-        a = estimate_witness_sampled(
-            prepare, wd, config3, 500, ReadoutModel(0.96, 5), keep_records=True
-        )
-        b = estimate_witness_sampled(
-            prepare, wd, config3, 500, ReadoutModel(0.96, 5), keep_records=True
-        )
+        state = run_w_protocol(config3, 3).final_state
+        a = estimate_witness_sampled(state, wd, 500, ReadoutModel(0.96, 5), keep_records=True)
+        b = estimate_witness_sampled(state, wd, 500, ReadoutModel(0.96, 5), keep_records=True)
         assert a.value == b.value
         for ra, rb in zip(a.records, b.records):
             assert np.array_equal(ra.outcomes, rb.outcomes)
@@ -247,15 +259,19 @@ class TestWitnessEstimation:
         wd = w3_witness_decomposed()
         with pytest.raises(ValueError):
             estimate_witness_sampled(
-                lambda: run_w_protocol(config3, 3).final_state,
-                wd, config3, 0, ReadoutModel(1.0, 0),
+                run_w_protocol(config3, 3).final_state, wd, 0, ReadoutModel(1.0, 0)
             )
+
+    def test_state_smaller_than_witness_rejected(self, config3):
+        state = run_w_protocol(config3, 3).final_state  # bus + 3 TLSs
+        with pytest.raises(ValueError, match="smaller"):
+            estimate_witness_sampled(state, w_witness(4), 10, ReadoutModel(1.0, 0))
 
     def test_biased_at_finite_fidelity(self, config3):
         # no mitigation: the raw estimate shrinks toward zero
         wd = w3_witness_decomposed()
-        prepare = lambda: run_w_protocol(config3, 3).final_state
-        est = estimate_witness_sampled(prepare, wd, config3, 40000, ReadoutModel(0.96, 41))
+        state = run_w_protocol(config3, 3).final_state
+        est = estimate_witness_sampled(state, wd, 40000, ReadoutModel(0.96, 41))
         assert est.bias_factor == pytest.approx(0.92)
         assert est.value > -1 / 3  # shrunk magnitude
 
@@ -265,28 +281,26 @@ class TestTomography:
         return StateVector(np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2))
 
     def test_exact_reconstruction_is_exact(self, config3):
-        prepare = lambda: run_bell(config3, 1, 2).final_state
+        state = run_bell(config3, 1, 2).final_state
         ro = ReadoutModel(1.0, seed=0)
-        res = tomography_two_qubit(prepare, 1, 2, config3, None, ro, target=self._bell_target())
+        res = tomography_two_qubit(state, 1, 2, None, ro, target=self._bell_target())
         assert res.fidelity_vs_target == pytest.approx(1.0, abs=1e-10)
         assert res.settings_used == 9
         assert res.expectations.shape == (4, 4)
         assert res.physical
 
     def test_trace_and_hermiticity(self, config3):
-        prepare = lambda: run_bell(config3, 1, 2).final_state
+        state = run_bell(config3, 1, 2).final_state
         ro = ReadoutModel(0.96, seed=1)
-        res = tomography_two_qubit(prepare, 1, 2, config3, 2000, ro)
+        res = tomography_two_qubit(state, 1, 2, 2000, ro)
         rho = res.rho.matrix
         assert abs(np.trace(rho) - 1.0) < 1e-9
         assert np.abs(rho - rho.conj().T).max() < 1e-9
 
     def test_noisy_reconstruction_fidelity_band(self, config3):
-        prepare = lambda: run_bell(config3, 1, 2).final_state
+        state = run_bell(config3, 1, 2).final_state
         ro = ReadoutModel(0.96, seed=2)
-        res = tomography_two_qubit(
-            prepare, 1, 2, config3, 20000, ro, target=self._bell_target()
-        )
+        res = tomography_two_qubit(state, 1, 2, 20000, ro, target=self._bell_target())
         assert 0.85 < res.fidelity_vs_target < 1.0
 
     def test_exact_reconstruction_of_random_pure_states(self, config3):
@@ -299,32 +313,31 @@ class TestTomography:
             full[0:8:2] = pair  # bus |0>, TLS 3 |g>, pair on TLS (1, 2)
             state = StateVector(full)
             target = StateVector(pair)
-            res = tomography_two_qubit(
-                lambda: state, 1, 2, config3, None, ro, target=target
-            )
+            res = tomography_two_qubit(state, 1, 2, None, ro, target=target)
             assert res.fidelity_vs_target == pytest.approx(1.0, abs=1e-10)
 
     def test_biased_exact_mode_matches_arithmetic(self, config3):
         # oracle: (1 + 3 * (2F-1)^2) / 4 for a Bell pair with XX=YY=1, ZZ=-1
-        prepare = lambda: run_bell(config3, 1, 2).final_state
+        state = run_bell(config3, 1, 2).final_state
         ro = ReadoutModel(0.96, seed=3)
-        res = tomography_two_qubit(
-            prepare, 1, 2, config3, None, ro, target=self._bell_target()
-        )
+        res = tomography_two_qubit(state, 1, 2, None, ro, target=self._bell_target())
         expected = (1 + 3 * 0.92**2) / 4
         assert res.fidelity_vs_target == pytest.approx(expected, abs=1e-10)
 
     def test_same_pair_rejected(self, config3):
         with pytest.raises(ValueError):
             tomography_two_qubit(
-                lambda: run_bell(config3, 1, 2).final_state,
-                1, 1, config3, None, ReadoutModel(1.0, 0),
+                run_bell(config3, 1, 2).final_state, 1, 1, None, ReadoutModel(1.0, 0)
             )
 
+    def test_pair_outside_register_rejected(self, config3):
+        state = run_bell(config3, 1, 2).final_state  # bus + 3 TLSs
+        with pytest.raises(ProtocolError, match="out of range 1..3"):
+            tomography_two_qubit(state, 1, 4, None, ReadoutModel(1.0, 0))
+
     def test_reversed_pair(self, config3):
-        prepare = lambda: run_bell(config3, 1, 2).final_state
+        state = run_bell(config3, 1, 2).final_state
         res = tomography_two_qubit(
-            prepare, 2, 1, config3, 1500, ReadoutModel(1.0, 4),
-            target=self._bell_target(),
+            state, 2, 1, 1500, ReadoutModel(1.0, 4), target=self._bell_target()
         )
         assert res.fidelity_vs_target > 0.9

@@ -336,6 +336,7 @@ class TestClusterProtocol:
         rep, corr = run_cluster_protocol(cfg, 5, BUS_INIT_PLUS)
         final = execute_schedule(cluster_sequence(cfg, 5, corr.best_bus_init), cfg)
         corrected = apply_phase_corrections(final, corr.exponents)
+        assert np.array_equal(corr.corrected_state.amplitudes, corrected.amplitudes)
         target = cluster_state(5)
         full = np.zeros(2**6, dtype=complex)
         full[0::2] = target.amplitudes

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import literal_cluster_operator
 from phasebus.paulis import SIGMA, PauliString
 from phasebus.protocols import cluster_state, w_state
 from phasebus.states import DensityMatrix, StateVector
@@ -158,7 +159,7 @@ class TestClusterWitness:
         assert witness_value_exact(ground, w) == pytest.approx(2.0, abs=1e-10)
 
     def test_literal_form_fails_to_detect(self):
-        w = cluster_witness(4, form="literal")
+        w = literal_cluster_operator(4)
         assert witness_value_exact(cluster_state(4), w) >= 0.0
 
     @pytest.mark.parametrize("n", range(2, 11))
@@ -184,10 +185,6 @@ class TestClusterWitness:
             for s in (random_product_state(rng, n) for _ in range(300))
         ]
         assert min(vals) >= -1e-10
-
-    def test_unknown_form(self):
-        with pytest.raises(ValueError):
-            cluster_witness(3, form="mystery")
 
 
 class TestGroupSettings:
