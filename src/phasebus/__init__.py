@@ -37,7 +37,6 @@ from .protocols import (
     BusReset,
     BusRotation,
     CorrectionReport,
-    Measure,
     ProtocolReport,
     PulseSchedule,
     ResonantWindow,

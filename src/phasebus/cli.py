@@ -89,17 +89,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class UsageError(Exception):
+    """A malformed command-line value (exit 2)."""
+
+
 def _parse_pair(target: str) -> tuple[int, int]:
     parts = target.split(":")
-    if len(parts) != 3 or parts[0] != "bell":
-        raise ValueError(f"expected bell:j:k, got {target!r}")
+    if len(parts) != 3 or parts[0] != "bell" or not all(
+        p.isdecimal() for p in parts[1:]
+    ):
+        raise UsageError(f"expected bell:j:k, got {target!r}")
     return int(parts[1]), int(parts[2])
 
 
 def _parse_witness_target(target: str) -> tuple[str, int]:
     kind, num = target[:1].lower(), target[1:]
-    if kind not in ("w", "c") or not num.isdigit():
-        raise ValueError(f"expected wN or cN, got {target!r}")
+    if kind not in ("w", "c") or not num.isdecimal():
+        raise UsageError(f"expected wN or cN, got {target!r}")
     return kind, int(num)
 
 
@@ -250,10 +256,18 @@ def _cmd_spectroscopy(args, config: DeviceConfig) -> Report:
         report.add(f"crossing_{idx}_bias", c.center_bias, units="I/I0")
         report.add(f"crossing_{idx}_splitting", c.splitting, units="Hz")
         report.add(f"crossing_{idx}_frequency", c.tls_frequency, units="Hz")
-    configured = sorted((t.frequency_hz, t.splitting_hz, t.id) for t in config.tls)
-    for (f_true, d_true, tls_id), c in zip(configured, crossings):
-        rel = abs(c.splitting - d_true) / d_true
-        report.add(f"tls_{tls_id}_splitting_rel_err", rel)
+
+    def nearest_tls(c):
+        return min(config.tls, key=lambda t: abs(t.frequency_hz - c.tls_frequency))
+
+    for tls in config.tls:  # ascending frequency
+        matches = [c for c in crossings if nearest_tls(c) is tls]
+        if not matches:
+            report.add(f"tls_{tls.id}_unmatched", True)
+            continue
+        c = min(matches, key=lambda c: abs(c.tls_frequency - tls.frequency_hz))
+        rel = abs(c.splitting - tls.splitting_hz) / tls.splitting_hz
+        report.add(f"tls_{tls.id}_splitting_rel_err", rel)
     scan_rows = []
     for i, b in enumerate(scan.bias_points):
         for br, f in enumerate(scan.branch_frequencies[i]):
@@ -310,6 +324,9 @@ def main(argv=None) -> int:
 
     try:
         report = _HANDLERS[args.command](args, config)
+    except UsageError as exc:
+        print(f"phasebus: {args.command}: {exc}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"phasebus: invalid config: {exc}", file=sys.stderr)
         return 3

@@ -159,20 +159,15 @@ def full_hamiltonian(config: DeviceConfig) -> np.ndarray:
     H = -(omega10/2) Z_bus - sum_j [ (omega_r^j/2) Z_j + S_j X_bus X_j ],
     real symmetric in the computational basis.
     """
-    from .paulis import PauliString
-
     n = config.num_qubits
-    dim = 2**n
-    h = np.zeros((dim, dim), dtype=np.complex128)
-
-    def term(labels: dict[int, str]) -> np.ndarray:
-        letters = "".join(labels.get(q, "I") for q in range(n))
-        return PauliString(letters).matrix()
-
-    h += -(config.omega10 / 2.0) * term({0: "Z"})
+    k = np.arange(2**n)
+    z = 1 - 2 * (k[:, None] >> np.arange(n) & 1)  # column q: Z_q eigenvalue
+    h = np.zeros((2**n, 2**n), dtype=np.complex128)
+    diag = -(config.omega10 / 2.0) * z[:, 0]
     for j, tls in enumerate(config.tls, start=1):
-        h += -(tls.omega_r / 2.0) * term({j: "Z"})
-        h += -tls.coupling * term({0: "X", j: "X"})
+        diag = diag + -(tls.omega_r / 2.0) * z[:, j]
+        h[k, k ^ (1 | 1 << j)] = -tls.coupling  # X_bus X_j flips bits 0 and j
+    h[k, k] = diag
     return h
 
 
@@ -231,11 +226,18 @@ def rotating_frame_transform(state: StateVector, omega: float, t: float) -> Stat
     phase exp(-i (omega t / 2) * sum_k z_k) per basis state.
     """
     n = state.num_qubits
-    amps = state.amplitudes.copy()
-    for idx in range(amps.size):
-        zsum = sum(1 if not (idx >> k) & 1 else -1 for k in range(n))
-        amps[idx] *= np.exp(-1j * (omega * t / 2.0) * zsum)
-    return StateVector(amps)
+    amps = state.amplitudes
+    # sum_k z_k = n - 2 * popcount(index) takes n + 1 values
+    phases = np.array(
+        [np.exp(-1j * (omega * t / 2.0) * (n - 2 * c)) for c in range(n + 1)]
+    )
+    ph = phases[np.bitwise_count(np.arange(amps.size))]
+    # product in real parts: numpy's vectorised complex multiply may fuse
+    # multiply-adds and so round differently from the scalar product
+    out = np.empty_like(amps)
+    out.real = amps.real * ph.real - amps.imag * ph.imag
+    out.imag = amps.real * ph.imag + amps.imag * ph.real
+    return StateVector(out)
 
 
 def rwa_infidelity(config: DeviceConfig, j: int, t: float) -> float:

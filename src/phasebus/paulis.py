@@ -2,6 +2,11 @@
 
 A string like ``"XZI"`` puts X on qubit 0, Z on qubit 1 and identity on
 qubit 2 (reading order matches qubit order).
+
+Every action goes through the binary (x, z) form of Aaronson & Gottesman,
+PRA 70, 052328 (2004): P = i^{|x & z|} X^x Z^z, where bit q of each mask
+is qubit q.  X sets the x bit, Z the z bit and Y = i X Z sets both, so
+products, commutation and P|psi> are integer mask arithmetic.
 """
 
 from __future__ import annotations
@@ -20,27 +25,25 @@ SIGMA = {
     "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
 
-# single-qubit products: (a, b) -> (phase, c) with sigma_a sigma_b = phase * sigma_c
-_MUL = {}
-for _a in "IXYZ":
-    for _b in "IXYZ":
-        _m = SIGMA[_a] @ SIGMA[_b]
-        for _c in "IXYZ":
-            for _ph in (1, -1, 1j, -1j):
-                if np.allclose(_m, _ph * SIGMA[_c]):
-                    _MUL[(_a, _b)] = (_ph, _c)
-del _a, _b, _c, _m, _ph
+_I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 @dataclass(frozen=True)
 class PauliString:
-    """Tensor product of single-qubit Paulis, one letter per qubit."""
+    """Tensor product of single-qubit Paulis, one letter per qubit.
+
+    ``x_mask`` and ``z_mask`` are derived from ``labels`` on construction.
+    """
 
     labels: str
 
     def __post_init__(self):
         if not self.labels or any(c not in "IXYZ" for c in self.labels):
             raise ValueError(f"bad Pauli string {self.labels!r}")
+        x = sum(1 << q for q, c in enumerate(self.labels) if c in "XY")
+        z = sum(1 << q for q, c in enumerate(self.labels) if c in "ZY")
+        object.__setattr__(self, "x_mask", x)
+        object.__setattr__(self, "z_mask", z)
 
     def __str__(self) -> str:
         return self.labels
@@ -51,7 +54,7 @@ class PauliString:
 
     @property
     def weight(self) -> int:
-        return sum(1 for c in self.labels if c != "I")
+        return (self.x_mask | self.z_mask).bit_count()
 
     def is_identity(self) -> bool:
         return self.weight == 0
@@ -66,38 +69,38 @@ class PauliString:
     def commutes_with(self, other: "PauliString") -> bool:
         if len(self.labels) != len(other.labels):
             raise ValueError("qubit counts differ")
-        anti = sum(
-            1
-            for a, b in zip(self.labels, other.labels)
-            if a != "I" and b != "I" and a != b
-        )
-        return anti % 2 == 0
+        anti = (self.x_mask & other.z_mask) ^ (self.z_mask & other.x_mask)
+        return anti.bit_count() % 2 == 0
 
 
 def pauli_mul(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
     """Product a*b as (phase, string)."""
     if len(a.labels) != len(b.labels):
         raise ValueError("qubit counts differ")
-    phase = 1.0 + 0.0j
-    out = []
-    for ca, cb in zip(a.labels, b.labels):
-        ph, c = _MUL[(ca, cb)]
-        phase *= ph
-        out.append(c)
-    return phase, PauliString("".join(out))
+    x, z = a.x_mask ^ b.x_mask, a.z_mask ^ b.z_mask
+    # X^xa Z^za X^xb Z^zb = (-1)^{|za & xb|} X^x Z^z, and the i^{|x & z|}
+    # prefactors of a, b and the product each count their Ys
+    exponent = (
+        (a.x_mask & a.z_mask).bit_count()
+        + (b.x_mask & b.z_mask).bit_count()
+        + 2 * (a.z_mask & b.x_mask).bit_count()
+        - (x & z).bit_count()
+    )
+    labels = "".join(
+        "IXZY"[(x >> q & 1) | (z >> q & 1) << 1] for q in range(len(a.labels))
+    )
+    return _I_POWERS[exponent % 4], PauliString(labels)
 
 
 def apply_pauli(pauli: PauliString, state: StateVector) -> StateVector:
-    """P|psi> without building the 2^n x 2^n matrix."""
-    from .states import apply_unitary
-
+    """P|psi> as one gather and one sign vector:
+    (P psi)[k] = i^{|x & z|} (-1)^{|(k ^ x) & z|} psi[k ^ x]."""
     if pauli.num_qubits != state.num_qubits:
         raise ValueError("qubit counts differ")
-    out = state
-    for q, c in enumerate(pauli.labels):
-        if c != "I":
-            out = apply_unitary(out, SIGMA[c], [q])
-    return out
+    src = np.arange(state.amplitudes.size) ^ pauli.x_mask
+    phase = _I_POWERS[(pauli.x_mask & pauli.z_mask).bit_count() % 4]
+    sign = np.where(np.bitwise_count(src & pauli.z_mask) & 1, -phase, phase)
+    return StateVector(sign * state.amplitudes[src])
 
 
 def pauli_sum_matrix(terms, num_qubits: int | None = None) -> np.ndarray:

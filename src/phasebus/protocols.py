@@ -5,7 +5,7 @@ windows.
 A schedule is an ordered list of abstract instructions; the executor turns
 it into exact state-vector evolution.  The only primitives are the ones the
 hardware offers: resonant windows to one TLS at a time, bus rotations, bus
-reset, bus excitation, and readout (which the measurement layer handles).
+reset and bus excitation.  Readout belongs to the measurement layer.
 """
 
 from __future__ import annotations
@@ -56,14 +56,7 @@ class BusExcite:
     """Bit flip on the bus (exact X, so |0> -> |1> with amplitude +1)."""
 
 
-@dataclass(frozen=True)
-class Measure:
-    """Projective readout marker; executed by the measurement layer."""
-
-    target: int
-
-
-Instruction = ResonantWindow | BusRotation | BusReset | BusExcite | Measure
+Instruction = ResonantWindow | BusRotation | BusReset | BusExcite
 
 
 @dataclass(frozen=True)
@@ -72,7 +65,6 @@ class PulseSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
-        seen_measure = False
         for step in self.steps:
             if isinstance(step, ResonantWindow):
                 if step.duration < 0:
@@ -82,10 +74,6 @@ class PulseSchedule:
             elif isinstance(step, BusRotation):
                 if step.axis not in ("x", "y", "z"):
                     raise ProtocolError(f"bad rotation axis {step.axis!r}")
-            if isinstance(step, Measure):
-                seen_measure = True
-            elif seen_measure:
-                raise ProtocolError("generation steps may not follow a Measure")
 
     def __iter__(self):
         return iter(self.steps)
@@ -113,8 +101,6 @@ class PulseSchedule:
                 lines.append("RESET")
             elif isinstance(step, BusExcite):
                 lines.append("EXCITE")
-            elif isinstance(step, Measure):
-                lines.append(f"MEASURE target={step.target}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -138,8 +124,6 @@ class PulseSchedule:
                 steps.append(BusReset())
             elif op == "EXCITE":
                 steps.append(BusExcite())
-            elif op == "MEASURE":
-                steps.append(Measure(int(kv["target"])))
             else:
                 raise ProtocolError(f"unknown instruction {op!r}")
         return cls(tuple(steps))
@@ -184,8 +168,7 @@ def execute_schedule(
 ) -> StateVector:
     """Run a generation schedule deterministically.
 
-    ``Measure`` steps are refused here; sampling lives in the measurement
-    layer.  Starts from |0, g, ..., g> unless an initial state is given.
+    Starts from |0, g, ..., g> unless an initial state is given.
     """
     if state is None:
         state = ground_register(config.num_tls)
@@ -201,10 +184,6 @@ def execute_schedule(
             state = reset_bus(state)
         elif isinstance(step, BusExcite):
             state = apply_unitary(state, SIGMA["X"], [0])
-        elif isinstance(step, Measure):
-            raise ProtocolError(
-                "Measure steps are executed by the measurement layer"
-            )
         else:
             raise ProtocolError(f"unknown instruction {step!r}")
     return state
@@ -436,17 +415,10 @@ def cluster_state(num_qubits: int) -> StateVector:
     """
     if num_qubits < 2:
         raise ValueError("cluster chain needs at least two qubits")
-    dim = 2**num_qubits
-    amps = np.empty(dim, dtype=np.complex128)
-    norm = 2 ** (-num_qubits / 2.0)
-    for idx in range(dim):
-        pairs = sum(
-            1
-            for q in range(num_qubits - 1)
-            if (idx >> q) & 1 and (idx >> (q + 1)) & 1
-        )
-        amps[idx] = norm * (-1.0) ** pairs
-    return StateVector(amps)
+    k = np.arange(2**num_qubits)
+    pairs = np.bitwise_count(k & (k >> 1))
+    signs = np.where(pairs & 1, -1.0, 1.0)
+    return StateVector(2 ** (-num_qubits / 2.0) * signs)
 
 
 BUS_INIT_GROUND = "ground"

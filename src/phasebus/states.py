@@ -209,17 +209,13 @@ def excited_population(state: StateVector, qubit: int) -> float:
 
 
 def expectation(state: StateVector, op) -> float:
-    """<psi|O|psi> for a PauliString, a weighted Pauli-term list, or a dense
-    Hermitian matrix.  Returns the real part; the imaginary part must be
-    negligible (Hermitian observables only)."""
+    """<psi|O|psi> for a PauliString or a weighted Pauli-term list.  Returns
+    the real part; the imaginary part must be negligible (Hermitian
+    observables only)."""
     from .paulis import PauliString, apply_pauli  # local import: layering
 
     if isinstance(op, PauliString):
         val = np.vdot(state.amplitudes, apply_pauli(op, state).amplitudes)
-    elif isinstance(op, np.ndarray):
-        if op.shape != (state.amplitudes.size,) * 2:
-            raise ValueError("operator dimension mismatch")
-        val = np.vdot(state.amplitudes, op @ state.amplitudes)
     else:
         val = 0.0 + 0.0j
         for coeff, pauli in op:

@@ -23,18 +23,6 @@ from .states import DensityMatrix, StateVector, expectation
 # the four diagonal combinations used by the three-qubit W decomposition
 BASIS_LABELS = ("x", "y", "z", "z+x", "z-x", "z+y", "z-y")
 
-# Pauli letters whose products are diagonal in a given basis (composite bases
-# admit everything in their plane)
-ESTIMABLE = {
-    "x": {"X"},
-    "y": {"Y"},
-    "z": {"Z"},
-    "z+x": {"Z", "X"},
-    "z-x": {"Z", "X"},
-    "z+y": {"Z", "Y"},
-    "z-y": {"Z", "Y"},
-}
-
 
 @dataclass(frozen=True)
 class MeasurementSetting:
@@ -42,11 +30,9 @@ class MeasurementSetting:
 
     ``shot_terms`` holds (coefficient, qubit-support) pairs: a shot with
     per-qubit outcomes o contributes sum_k c_k * prod_{q in support_k} o_q.
-    ``covered_terms`` indexes every witness term estimable from this setting.
     """
 
     bases: tuple[str, ...]
-    covered_terms: tuple[int, ...]
     shot_terms: tuple[tuple[float, tuple[int, ...]], ...]
 
     def __post_init__(self):
@@ -140,13 +126,6 @@ def w3_witness_decomposed() -> WitnessOperator:
     dense = _w3_formula_matrix()
     terms = [(float(np.real(c)), p) for c, p in pauli_decompose(dense)]
 
-    def covered(allowed: set[str]) -> tuple[int, ...]:
-        out = []
-        for i, (_, p) in enumerate(terms):
-            if all(c == "I" or c in allowed for c in p.labels):
-                out.append(i)
-        return tuple(out)
-
     supports = [
         (),
         (0,), (1,), (2,),
@@ -156,7 +135,6 @@ def w3_witness_decomposed() -> WitnessOperator:
     settings = [
         MeasurementSetting(
             bases=("z", "z", "z"),
-            covered_terms=covered({"Z"}),
             shot_terms=(
                 (3 / 24, (0,)), (3 / 24, (1,)), (3 / 24, (2,)),
                 (5 / 24, (0, 1)), (5 / 24, (0, 2)), (5 / 24, (1, 2)),
@@ -165,11 +143,10 @@ def w3_witness_decomposed() -> WitnessOperator:
         )
     ]
     root2 = float(np.sqrt(2.0))
-    for basis, eta in (("z+x", "X"), ("z-x", "X"), ("z+y", "Y"), ("z-y", "Y")):
+    for basis in ("z+x", "z-x", "z+y", "z-y"):
         settings.append(
             MeasurementSetting(
                 bases=(basis,) * 3,
-                covered_terms=covered({"Z", eta}),
                 shot_terms=tuple(
                     (-(root2 ** len(sup)) / 24.0, sup) for sup in supports
                 ),
@@ -289,7 +266,7 @@ def _greedy_settings(witness: WitnessOperator, preset_bases=None):
     greedily; identity terms become the offset."""
     n = witness.qubit_count
     slots: list[dict] = [
-        {"assign": list(b), "shot": [], "owned": set()} for b in (preset_bases or [])
+        {"assign": list(b), "shot": []} for b in (preset_bases or [])
     ]
 
     def fits(slot, pauli: PauliString) -> bool:
@@ -302,7 +279,7 @@ def _greedy_settings(witness: WitnessOperator, preset_bases=None):
                 return False
         return True
 
-    for idx, (coeff, pauli) in enumerate(witness.terms):
+    for coeff, pauli in witness.terms:
         if pauli.is_identity():
             continue
         target = None
@@ -311,30 +288,20 @@ def _greedy_settings(witness: WitnessOperator, preset_bases=None):
                 target = slot
                 break
         if target is None:
-            target = {"assign": [None] * n, "shot": [], "owned": set()}
+            target = {"assign": [None] * n, "shot": []}
             slots.append(target)
         for q, c in enumerate(pauli.labels):
             if c != "I":
                 target["assign"][q] = c.lower()
         target["shot"].append((coeff, pauli.support()))
-        target["owned"].add(idx)
 
     settings = []
     for slot in slots:
         if not slot["shot"]:
             continue
         bases = tuple(b if b is not None else "z" for b in slot["assign"])
-        covered = tuple(
-            i
-            for i, (_, p) in enumerate(witness.terms)
-            if all(c == "I" or c in ESTIMABLE[bases[q]] for q, c in enumerate(p.labels))
-        )
         settings.append(
-            MeasurementSetting(
-                bases=bases,
-                covered_terms=covered,
-                shot_terms=tuple(slot["shot"]),
-            )
+            MeasurementSetting(bases=bases, shot_terms=tuple(slot["shot"]))
         )
     return settings
 

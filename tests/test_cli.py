@@ -147,6 +147,27 @@ class TestExitCodes:
                    "--out", str(tmp_path / "o")])
         assert rc == 4
 
+    @pytest.mark.parametrize(
+        "command,target",
+        [
+            ("bell", "bell:1:x"),
+            ("bell", "bell:1"),
+            ("bell", "pair:1:2"),
+            ("tomo", "bell:1:-2"),
+            ("tomo", "bell:x:2"),
+            ("witness", "w"),
+            ("witness", "c3.5"),
+            ("witness", "q9"),
+        ],
+    )
+    def test_malformed_target_is_usage_error(
+        self, small_config_path, tmp_path, command, target
+    ):
+        rc = main([command, "--config", small_config_path, "--target", target,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert not os.path.exists(tmp_path / "o")
+
     def test_unknown_subcommand_exits_two(self, small_config_path):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "--config", small_config_path])
@@ -251,7 +272,7 @@ class TestWitnessCommand:
     def test_bad_target(self, small_config_path, tmp_path):
         rc = main(["witness", "--config", small_config_path, "--target", "q9",
                    "--out", str(tmp_path / "o")])
-        assert rc == 4
+        assert rc == 2
 
 
 class TestTomoCommand:
@@ -286,6 +307,30 @@ class TestSpectroscopyCommand:
             float(rows[m]["value"]) for m in rows if m.endswith("_splitting_rel_err")
         ]
         assert rel_errs and max(rel_errs) < 0.05
+        assert not any(m.endswith("_unmatched") for m in rows)
+
+    @pytest.mark.filterwarnings("ignore:gap minimum at scan edge")
+    @pytest.mark.filterwarnings("ignore:crossings at bias")
+    def test_sparse_scan_matches_crossings_by_frequency(self, config_path, tmp_path):
+        out = str(tmp_path / "spec3")
+        rc = main(["spectroscopy", "--config", config_path, "--points", "3",
+                   "--out", out])
+        assert rc == 0
+        rows = read_rows(out)
+        found = int(rows["crossings_found"]["value"])
+        assert 1 <= found < 10
+        config = load_config(config_path)
+        matched = set()
+        for idx in range(1, found + 1):
+            f = float(rows[f"crossing_{idx}_frequency"]["value"])
+            matched.add(min(config.tls, key=lambda t: abs(t.frequency_hz - f)).id)
+        for tls in config.tls:
+            if tls.id in matched:
+                assert f"tls_{tls.id}_splitting_rel_err" in rows
+                assert f"tls_{tls.id}_unmatched" not in rows
+            else:
+                assert rows[f"tls_{tls.id}_unmatched"]["value"] == "1"
+                assert f"tls_{tls.id}_splitting_rel_err" not in rows
 
 
 class TestRwaCommand:

@@ -9,7 +9,6 @@ from phasebus.protocols import (
     BUS_INIT_GROUND,
     BUS_INIT_PLUS,
     BusExcite,
-    Measure,
     PulseSchedule,
     ResonantWindow,
     apply_phase_corrections,
@@ -41,14 +40,6 @@ class TestSchedule:
         with pytest.raises(ProtocolError):
             PulseSchedule((ResonantWindow(1, -1e-9),))
 
-    def test_rejects_generation_after_measure(self):
-        with pytest.raises(ProtocolError, match="Measure"):
-            PulseSchedule((Measure(1), BusExcite()))
-
-    def test_trailing_measures_allowed(self):
-        sched = PulseSchedule((BusExcite(), Measure(0), Measure(1)))
-        assert len(sched) == 3
-
     def test_text_round_trip(self, config3):
         sched = cluster_sequence(config3, 3)
         text = sched.to_text()
@@ -62,10 +53,6 @@ class TestSchedule:
             else:
                 assert a == b
         assert "WINDOW" in text and "ROT axis=z" in text and "ns" in text
-
-    def test_measure_serialization(self):
-        sched = PulseSchedule((BusExcite(), Measure(2)))
-        assert PulseSchedule.from_text(sched.to_text()) == sched
 
     def test_unknown_instruction_rejected(self):
         with pytest.raises(ProtocolError, match="unknown"):
@@ -87,10 +74,6 @@ class TestExecutor:
         a = execute_schedule(sched, config3)
         b = execute_schedule(sched, config3)
         assert np.array_equal(a.amplitudes, b.amplitudes)
-
-    def test_measure_step_refused(self, config3):
-        with pytest.raises(ProtocolError, match="measurement layer"):
-            execute_schedule(PulseSchedule((Measure(0),)), config3)
 
     def test_excite_is_exact_bit_flip(self, config3):
         out = execute_schedule(PulseSchedule((BusExcite(),)), config3)
