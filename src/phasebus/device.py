@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import StateVector, apply_unitary, evolve, fidelity
+from .states import StateVector, apply_unitary, basis_state, evolve, fidelity
 
 HBAR = 1.0545718176461565e-34  # J*s
 
@@ -153,22 +153,48 @@ def coupling_from_microscopics(
     return MicroscopicCoupling(abs(s), sign)
 
 
+def _diagonal(config: DeviceConfig, k: np.ndarray) -> np.ndarray:
+    """Energies of the basis states with register indices ``k``."""
+    z = 1 - 2 * (k[:, None] >> np.arange(config.num_qubits) & 1)  # column q: Z_q
+    diag = -(config.omega10 / 2.0) * z[:, 0]
+    for j, tls in enumerate(config.tls, start=1):
+        diag = diag + -(tls.omega_r / 2.0) * z[:, j]
+    return diag
+
+
 def full_hamiltonian(config: DeviceConfig) -> np.ndarray:
     """Dense lab-frame Hamiltonian of the bus plus every TLS.
 
     H = -(omega10/2) Z_bus - sum_j [ (omega_r^j/2) Z_j + S_j X_bus X_j ],
-    real symmetric in the computational basis.
+    real symmetric in the computational basis.  Each X_bus X_j flips two
+    bits, so H conserves excitation parity; ``rwa_infidelity`` evolves only
+    the odd block (``odd_parity_block``) and never builds this matrix.
     """
     n = config.num_qubits
     k = np.arange(2**n)
-    z = 1 - 2 * (k[:, None] >> np.arange(n) & 1)  # column q: Z_q eigenvalue
     h = np.zeros((2**n, 2**n), dtype=np.complex128)
-    diag = -(config.omega10 / 2.0) * z[:, 0]
     for j, tls in enumerate(config.tls, start=1):
-        diag = diag + -(tls.omega_r / 2.0) * z[:, j]
         h[k, k ^ (1 | 1 << j)] = -tls.coupling  # X_bus X_j flips bits 0 and j
-    h[k, k] = diag
+    h[k, k] = _diagonal(config, k)
     return h
+
+
+def odd_parity_block(config: DeviceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The block of ``full_hamiltonian`` on odd excitation parity, built
+    directly: a real symmetric 2^N x 2^N matrix and, for each of its rows,
+    the register index of that basis state.
+
+    Row p holds TLS bits p and the bus bit that makes the parity odd, so the
+    indices ascend and row 0 is |1, g, ..., g>.  Each X_bus X_j moves row p
+    to row p ^ 2^(j-1).
+    """
+    p = np.arange(2**config.num_tls)
+    index = (p << 1) | (1 - np.bitwise_count(p) % 2)
+    h = np.zeros((p.size, p.size))
+    for j, tls in enumerate(config.tls, start=1):
+        h[p, p ^ 1 << (j - 1)] = -tls.coupling
+    h[p, p] = _diagonal(config, index)
+    return h, index
 
 
 def exchange_window_gate(coupling: float, t: float) -> np.ndarray:
@@ -246,18 +272,20 @@ def rwa_infidelity(config: DeviceConfig, j: int, t: float) -> float:
 
     The bus must be exactly on resonance with TLS j; the full evolution is
     moved to the frame rotating at omega10 on every qubit before comparing.
-    Off-resonant TLSs in the config are the dominant contribution.
+    Off-resonant TLSs in the config are the dominant contribution.  The
+    full evolution runs in the odd-parity block only: the Hamiltonian
+    conserves excitation parity and the start state is odd.
     """
     tls = config.tls_params(j)
     if abs(config.omega10 - tls.omega_r) > 1e-9 * config.omega10:
         raise ProtocolError(
             f"rwa check is defined on resonance; omega10 != omega_r of TLS {j}"
         )
-    labels = [1] + [0] * config.num_tls
-    from .states import basis_state
-
-    psi0 = basis_state(labels)
-    full = evolve(psi0, full_hamiltonian(config), t)
-    framed = rotating_frame_transform(full, config.omega10, t)
+    psi0 = basis_state([1] + [0] * config.num_tls)
+    block, index = odd_parity_block(config)
+    odd = evolve(StateVector(psi0.amplitudes[index]), block, t)
+    amps = np.zeros_like(psi0.amplitudes)
+    amps[index] = odd.amplitudes
+    framed = rotating_frame_transform(StateVector(amps), config.omega10, t)
     ideal = resonant_evolution(psi0, j, t, config)
     return 1.0 - fidelity(ideal, framed)

@@ -147,15 +147,23 @@ def evolve(state: StateVector, generator: np.ndarray, t: float) -> StateVector:
     """exp(-i * generator * t) |state>, by exact Hermitian diagonalization.
 
     The generator is an angular-frequency operator (rad/s, hbar = 1); no
-    series truncation is involved, so the only error is float roundoff.
+    series truncation is involved, so the only error is float roundoff.  A
+    real generator stays real: it is checked for symmetry and diagonalized
+    with no complex copy of it or of its eigenvectors.
     """
-    h = np.asarray(generator, dtype=np.complex128)
+    real = np.isrealobj(generator)
+    h = np.asarray(generator, dtype=np.float64 if real else np.complex128)
     d = state.amplitudes.size
     if h.shape != (d, d):
         raise ValueError(f"generator shape {h.shape} does not match dim {d}")
     scale = max(1.0, float(np.abs(h).max()))
     if np.abs(h - h.conj().T).max() > 1e-12 * scale:
         raise ValueError("generator is not Hermitian")
+    if real:
+        w, v = np.linalg.eigh(h)
+        phases = np.exp(-1j * w * t)
+        out = _real_matvec(v, phases * _real_matvec(v.T, state.amplitudes))
+        return StateVector(out)
     if np.all(h.imag == 0.0):
         w, v = np.linalg.eigh(h.real)  # real-symmetric path is much faster
         v = v.astype(np.complex128)
@@ -164,6 +172,15 @@ def evolve(state: StateVector, generator: np.ndarray, t: float) -> StateVector:
     phases = np.exp(-1j * w * t)
     out = v @ (phases * (v.conj().T @ state.amplitudes))
     return StateVector(out)
+
+
+def _real_matvec(m: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """m @ a for a real matrix and a complex vector, without casting m to
+    complex."""
+    out = np.empty(m.shape[0], dtype=np.complex128)
+    out.real = m @ a.real
+    out.imag = m @ a.imag
+    return out
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

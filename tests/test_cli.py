@@ -354,6 +354,7 @@ class TestDeterminism:
             ["witness", "--target", "c3", "--shots", "3000", "--seed", "11"],
             ["tomo", "--target", "bell:1:2", "--shots", "3000", "--seed", "11"],
             ["spectroscopy", "--points", "800", "--seed", "11"],
+            ["rwa-check", "--seed", "11"],
         ]
         digests = {}
         for cmd in cmds:

@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GHZ, MHZ, simple_config
+from phasebus.config_io import example_config_dict, parse_config
 from phasebus.device import (
     HBAR,
     ConfigError,
@@ -15,10 +19,12 @@ from phasebus.device import (
     exchange_window_gate,
     full_hamiltonian,
     iswap,
+    odd_parity_block,
     resonant_evolution,
+    rotating_frame_transform,
     rwa_infidelity,
 )
-from phasebus.states import StateVector, basis_state
+from phasebus.states import StateVector, basis_state, evolve, fidelity
 
 
 class TestTlsParams:
@@ -255,3 +261,52 @@ class TestRwaInfidelity:
     def test_off_resonance_rejected(self, config3):
         with pytest.raises(ProtocolError, match="resonance"):
             rwa_infidelity(config3, 1, config3.swap_time(1))
+
+
+def dense_rwa_infidelity(config, j, t):
+    """The full-register oracle: evolve under the whole dense Hamiltonian."""
+    psi0 = basis_state([1] + [0] * config.num_tls)
+    full = evolve(psi0, full_hamiltonian(config), t)
+    framed = rotating_frame_transform(full, config.omega10, t)
+    return 1.0 - fidelity(resonant_evolution(psi0, j, t, config), framed)
+
+
+# random devices of 1..4 TLSs, the bus tuned to one of them, and a window
+# of up to twice that TLS's full swap
+tuned_configs = st.tuples(
+    st.integers(1, 4), st.integers(0, 2**32 - 1), st.integers(0, 3), st.floats(0.0, 2.0)
+)
+
+
+class TestOddParityBlock:
+    @staticmethod
+    def _tuned(num_tls, seed, pick):
+        config = parse_config(example_config_dict(num_tls, seed))
+        j = pick % num_tls + 1
+        return dataclasses.replace(config, omega10=config.tls_params(j).omega_r), j
+
+    @settings(max_examples=60, deadline=None)
+    @given(tuned_configs)
+    def test_block_of_dense_hamiltonian(self, case):
+        config, _ = self._tuned(*case[:3])
+        h = full_hamiltonian(config)
+        k = np.arange(h.shape[0])
+        odd = k[np.bitwise_count(k) % 2 == 1]
+        even = k[np.bitwise_count(k) % 2 == 0]
+        block, index = odd_parity_block(config)
+        assert np.array_equal(index, odd)
+        assert block.dtype == np.float64
+        assert block.tobytes() == h[odd][:, odd].real.tobytes()
+        assert not h[odd][:, even].any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(tuned_configs)
+    def test_rwa_infidelity_matches_dense_evolution(self, case):
+        config, j = self._tuned(*case[:3])
+        t = case[3] * config.swap_time(j)
+        assert abs(rwa_infidelity(config, j, t) - dense_rwa_infidelity(config, j, t)) < 1e-12
+
+    def test_first_row_is_bus_excited(self, config3):
+        block, index = odd_parity_block(config3)
+        assert block.shape == (8, 8)
+        assert index[0] == 1  # |1, g, g, g>

@@ -140,6 +140,22 @@ class TestEvolve:
         with pytest.raises(ValueError, match="Hermitian"):
             evolve(basis_state("0"), h, 1.0)
 
+    def test_real_generator_matches_complex_cast(self):
+        rng = np.random.default_rng(7)
+        for n in (1, 3, 6):
+            a = rng.normal(size=(2**n, 2**n))
+            h = a + a.T
+            s = _random_state(rng, n)
+            t = float(rng.uniform(0, 3))
+            real = evolve(s, h, t).amplitudes
+            cast = evolve(s, h.astype(np.complex128), t).amplitudes
+            assert np.abs(real - cast).max() < 1e-12
+
+    def test_rejects_non_symmetric_real(self):
+        h = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="Hermitian"):
+            evolve(basis_state("0"), h, 1.0)
+
     def test_norm_preserved_under_random_generators(self):
         rng = np.random.default_rng(99)
         for _ in range(500):
