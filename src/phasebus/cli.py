@@ -84,8 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rwa-check", parents=[common],
                        help="full-model vs exchange-window mismatch per TLS")
     p.add_argument("--tls", type=int, default=None,
-                   help="check a single TLS (full-device checks diagonalize "
-                        "the complete Hamiltonian and can take minutes)")
+                   help="check a single TLS (a full-device check evolves "
+                        "each TLS in the 2^N odd-parity block and takes a few "
+                        "seconds)")
     return parser
 
 

@@ -159,18 +159,12 @@ def evolve(state: StateVector, generator: np.ndarray, t: float) -> StateVector:
     scale = max(1.0, float(np.abs(h).max()))
     if np.abs(h - h.conj().T).max() > 1e-12 * scale:
         raise ValueError("generator is not Hermitian")
-    if real:
-        w, v = np.linalg.eigh(h)
-        phases = np.exp(-1j * w * t)
-        out = _real_matvec(v, phases * _real_matvec(v.T, state.amplitudes))
-        return StateVector(out)
-    if np.all(h.imag == 0.0):
-        w, v = np.linalg.eigh(h.real)  # real-symmetric path is much faster
-        v = v.astype(np.complex128)
-    else:
-        w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(h)
     phases = np.exp(-1j * w * t)
-    out = v @ (phases * (v.conj().T @ state.amplitudes))
+    if real:
+        out = _real_matvec(v, phases * _real_matvec(v.T, state.amplitudes))
+    else:
+        out = v @ (phases * (v.conj().T @ state.amplitudes))
     return StateVector(out)
 
 

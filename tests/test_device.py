@@ -305,8 +305,3 @@ class TestOddParityBlock:
         config, j = self._tuned(*case[:3])
         t = case[3] * config.swap_time(j)
         assert abs(rwa_infidelity(config, j, t) - dense_rwa_infidelity(config, j, t)) < 1e-12
-
-    def test_first_row_is_bus_excited(self, config3):
-        block, index = odd_parity_block(config3)
-        assert block.shape == (8, 8)
-        assert index[0] == 1  # |1, g, g, g>
