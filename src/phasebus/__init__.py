@@ -13,8 +13,6 @@ from .device import (
     DeviceConfig,
     ProtocolError,
     TlsParams,
-    coupling_from_microscopics,
-    dispersive_coupling,
     full_hamiltonian,
     iswap,
     resonant_evolution,
@@ -45,7 +43,6 @@ from .protocols import (
     cluster_sequence,
     cluster_state,
     execute_schedule,
-    initialize_register,
     run_bell,
     run_cluster_protocol,
     run_w_protocol,

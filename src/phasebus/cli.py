@@ -103,6 +103,11 @@ def _parse_pair(target: str) -> tuple[int, int]:
     return int(parts[1]), int(parts[2])
 
 
+def _check_count(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise UsageError(f"{name} must be at least {least}, got {value}")
+
+
 def _parse_witness_target(target: str) -> tuple[str, int]:
     kind, num = target[:1].lower(), target[1:]
     if kind not in ("w", "c") or not num.isdecimal():
@@ -198,6 +203,7 @@ def _witness_preparation(args, config: DeviceConfig):
 
 
 def _cmd_witness(args, config: DeviceConfig) -> Report:
+    _check_count("--shots", args.shots, 0)
     witness, n, state = _witness_preparation(args, config)
     report = Report(
         _manifest(
@@ -225,6 +231,7 @@ def _cmd_witness(args, config: DeviceConfig) -> Report:
 
 
 def _cmd_tomo(args, config: DeviceConfig) -> Report:
+    _check_count("--shots", args.shots, 0)
     j, k = _parse_pair(args.target)
     target = StateVector(np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2))
     state = run_bell(config, j, k).final_state
@@ -248,6 +255,7 @@ def _cmd_tomo(args, config: DeviceConfig) -> Report:
 
 
 def _cmd_spectroscopy(args, config: DeviceConfig) -> Report:
+    _check_count("--points", args.points, 3)  # a crossing needs a three-point bracket
     grid = default_bias_grid(config, args.points)
     scan = synth_spectroscopy(config, grid)
     crossings = extract_tls_parameters(scan)

@@ -9,13 +9,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .states import StateVector, apply_unitary, basis_state, evolve, fidelity
-
-HBAR = 1.0545718176461565e-34  # J*s
 
 MAX_TLS = 10
 
@@ -129,30 +126,6 @@ class DeviceConfig:
         return np.pi / (2.0 * self.coupling(j))
 
 
-class MicroscopicCoupling(NamedTuple):
-    magnitude: float  # rad/s
-    sign: int
-
-
-def coupling_from_microscopics(
-    icr: float, icl: float, omega10: float, capacitance: float
-) -> MicroscopicCoupling:
-    """Bus-TLS coupling from the defect's two critical currents.
-
-    S = ((icr - icl)/2) * sqrt(hbar / (2 * omega10 * C)) in energy units,
-    returned as |S|/hbar in rad/s together with the sign of icr - icl.
-    A symmetric defect (icr == icl) decouples.
-    """
-    if omega10 <= 0:
-        raise ValueError("omega10 must be positive")
-    if capacitance <= 0:
-        raise ValueError("capacitance must be positive")
-    energy = ((icr - icl) / 2.0) * np.sqrt(HBAR / (2.0 * omega10 * capacitance))
-    s = energy / HBAR
-    sign = 0 if s == 0 else (1 if s > 0 else -1)
-    return MicroscopicCoupling(abs(s), sign)
-
-
 def _diagonal(config: DeviceConfig, k: np.ndarray) -> np.ndarray:
     """Energies of the basis states with register indices ``k``."""
     z = 1 - 2 * (k[:, None] >> np.arange(config.num_qubits) & 1)  # column q: Z_q
@@ -235,14 +208,6 @@ def resonant_evolution(
 def iswap(state: StateVector, j: int, config: DeviceConfig) -> StateVector:
     """Full excitation swap between the bus and TLS j (window of tau_j)."""
     return resonant_evolution(state, j, config.swap_time(j), config)
-
-
-def dispersive_coupling(splitting: float, detuning: float) -> float:
-    """Residual coupling Delta^2 / (4 * detuning) of a far-detuned TLS (Hz in,
-    Hz out)."""
-    if detuning == 0:
-        raise ValueError("detuning must be nonzero")
-    return splitting**2 / (4.0 * detuning)
 
 
 def rotating_frame_transform(state: StateVector, omega: float, t: float) -> StateVector:

@@ -34,21 +34,10 @@ from .states import (
     expectation,
     state_dm_fidelity,
 )
-from .witnesses import MeasurementSetting, WitnessOperator, group_settings
+from .witnesses import BASIS_DIRECTIONS, MeasurementSetting, WitnessOperator, group_settings
 
 ZERO_BRANCH_TOL = 1e-14
 BUS_GROUND_TOL = 1e-9
-
-# Bloch direction (theta, phi) of each measurement basis label
-BASIS_DIRECTIONS = {
-    "z": (0.0, 0.0),
-    "x": (np.pi / 2, 0.0),
-    "y": (np.pi / 2, np.pi / 2),
-    "z+x": (np.pi / 4, 0.0),
-    "z-x": (np.pi / 4, np.pi),
-    "z+y": (np.pi / 4, np.pi / 2),
-    "z-y": (np.pi / 4, -np.pi / 2),
-}
 
 
 def derive_rng(seed: int, label: str) -> np.random.Generator:
@@ -277,8 +266,6 @@ def sample_shots(
 class WitnessEstimate:
     value: float
     stderr: float
-    setting_means: list[float]
-    setting_stderrs: list[float]
     shots_per_setting: int
     bias_factor: float
     records: list[ShotRecord] | None = None
@@ -311,27 +298,21 @@ def estimate_witness_sampled(
 
     total = witness.offset
     var_total = 0.0
-    means, errs, records = [], [], []
+    records = []
     for idx, setting in enumerate(settings):
         rng = derive_rng(readout.seed, f"witness-setting-{idx}")
         record = sample_shots(
             state, qubits, setting.bases, shots_per_setting, readout, rng
         )
         values = _shot_values(setting, record.outcomes)
-        mean = float(values.mean())
         var = float(values.var(ddof=1)) if shots_per_setting > 1 else 0.0
-        se = float(np.sqrt(var / shots_per_setting))
-        total += mean
+        total += float(values.mean())
         var_total += var / shots_per_setting
-        means.append(mean)
-        errs.append(se)
         if keep_records:
             records.append(record)
     return WitnessEstimate(
         value=float(total),
         stderr=float(np.sqrt(var_total)),
-        setting_means=means,
-        setting_stderrs=errs,
         shots_per_setting=shots_per_setting,
         bias_factor=readout.bias_factor,
         records=records if keep_records else None,

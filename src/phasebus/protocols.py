@@ -1,6 +1,5 @@
-"""Entanglement-generation schedules: register reset, W states, Bell pairs
-and cluster chains, all driven through the bus with resonant exchange
-windows.
+"""Entanglement-generation schedules: W states, Bell pairs and cluster
+chains, all driven through the bus with resonant exchange windows.
 
 A schedule is an ordered list of abstract instructions; the executor turns
 it into exact state-vector evolution.  The only primitives are the ones the
@@ -19,7 +18,6 @@ from .paulis import SIGMA
 from .states import (
     StateVector,
     apply_unitary,
-    excited_population,
     fidelity,
     ground_register,
     partial_trace,
@@ -241,28 +239,6 @@ def _bus_ground_report(state: StateVector) -> tuple[bool, np.ndarray]:
         [abs(state.amplitudes[1 << j]) for j in range(1, n)]
     )  # |0, g..e_j..g> amplitudes
     return disentangled, profile
-
-
-# register initialization ----------------------------------------------------
-
-
-def initialize_register(state: StateVector, config: DeviceConfig) -> StateVector:
-    """Drain every TLS into the bus and reset it, leaving |0, g, ..., g>.
-
-    Accepts any product state of the TLSs with the bus in |0>; each TLS in
-    alpha|g> + beta|e> hands its excitation to the bus (alpha|0> - i beta|1>)
-    through a full swap window, after which the bus is reset.
-    """
-    if state.num_qubits != config.num_qubits:
-        raise ProtocolError("state size does not match the configured register")
-    if excited_population(state, 0) > DISENTANGLE_TOL:
-        raise ProtocolError("register initialization expects the bus in |0>")
-    from .device import iswap
-
-    for j in range(1, config.num_tls + 1):
-        state = iswap(state, j, config)
-        state = reset_bus(state)
-    return state
 
 
 # W states and Bell pairs ----------------------------------------------------

@@ -85,13 +85,16 @@ def bias_for_frequency(f_hz: float, omega_p0: float, critical_current: float = 1
 def synth_spectroscopy(config: DeviceConfig, bias_grid) -> SpectroscopyScan:
     """Simulate the spectroscopy branches over a bias grid.
 
-    Bias values must lie in (0, 0.999) of the critical current.  Calibration
-    needs each crossing bracketed by the grid; on partial grids the branches
-    fall back to the uncalibrated level model.
+    The grid must be finite and strictly increasing, with values in
+    (0, 0.999) of the critical current.  Calibration needs each crossing
+    bracketed by the grid; on partial grids the branches fall back to the
+    uncalibrated level model.
     """
+    bias = np.asarray(bias_grid, dtype=float)
+    if bias.ndim != 1 or not np.all(np.isfinite(bias)) or np.any(np.diff(bias) <= 0):
+        raise ValueError("bias grid must be finite and strictly increasing")
     if config.bias_model is None:
         raise ValueError("config has no bias model; spectroscopy unavailable")
-    bias = np.asarray(bias_grid, dtype=float)
     i0 = config.bias_model.critical_current
     if np.any(bias <= 0) or np.any(bias / i0 >= 0.999):
         raise ValueError("bias values must lie in (0, 0.999) of critical current")

@@ -74,12 +74,6 @@ class DensityMatrix:
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
-    def rank(self, tol: float = 1e-10) -> int:
-        return int(np.sum(self.eigenvalues() > tol))
-
 
 def basis_state(labels) -> StateVector:
     """Computational basis state from per-qubit labels.

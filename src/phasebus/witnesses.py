@@ -3,10 +3,10 @@ decompositions.
 
 A witness here is a real-weighted Pauli-string sum whose expectation is
 non-negative on every separable state and negative on the targeted entangled
-state.  Alongside the flat term list, each witness can carry an estimation
-plan: a handful of local measurement settings (one basis per qubit) plus the
-per-shot combination rule that turns setting outcomes into the witness
-value.
+state.  Alongside the flat term list, each witness carries an estimation
+plan, fixed when it is built: a handful of local measurement settings (one
+basis per qubit), each with the per-shot combination rule that turns its
+outcomes into its share of the witness value, plus an identity offset.
 """
 
 from __future__ import annotations
@@ -17,11 +17,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paulis import SIGMA, PauliString, pauli_decompose, pauli_mul, pauli_sum_matrix
-from .states import DensityMatrix, StateVector, expectation
+from .states import StateVector, expectation
 
-# measurement bases a single qubit can be read in: the plain Pauli axes and
-# the four diagonal combinations used by the three-qubit W decomposition
-BASIS_LABELS = ("x", "y", "z", "z+x", "z-x", "z+y", "z-y")
+# Bloch direction (theta, phi) of each basis a single qubit can be read in:
+# the plain Pauli axes and the four diagonal combinations used by the
+# three-qubit W decomposition
+BASIS_DIRECTIONS = {
+    "z": (0.0, 0.0),
+    "x": (np.pi / 2, 0.0),
+    "y": (np.pi / 2, np.pi / 2),
+    "z+x": (np.pi / 4, 0.0),
+    "z-x": (np.pi / 4, np.pi),
+    "z+y": (np.pi / 4, np.pi / 2),
+    "z-y": (np.pi / 4, -np.pi / 2),
+}
 
 
 @dataclass(frozen=True)
@@ -37,18 +46,24 @@ class MeasurementSetting:
 
     def __post_init__(self):
         for b in self.bases:
-            if b not in BASIS_LABELS:
+            if b not in BASIS_DIRECTIONS:
                 raise ValueError(f"unknown basis label {b!r}")
 
 
 @dataclass
 class WitnessOperator:
-    """Real-weighted Pauli sum detecting a target entangled state."""
+    """Real-weighted Pauli sum detecting a target entangled state.
+
+    ``settings`` and ``offset`` are its estimation plan: every non-identity
+    term is owned by one setting, and the offset is the identity part no
+    setting owns.  Without a plan, the settings are grouped greedily;
+    without an offset, it is the sum of the identity terms.
+    """
 
     terms: list[tuple[float, PauliString]]
     target_label: str
     qubit_count: int
-    offset: float = 0.0  # identity part not owned by any setting
+    offset: float | None = None
     settings: list[MeasurementSetting] | None = None
 
     def __post_init__(self):
@@ -57,27 +72,20 @@ class WitnessOperator:
                 raise ValueError("witness coefficients must be real")
             if pauli.num_qubits != self.qubit_count:
                 raise ValueError("term size does not match qubit count")
+        if self.settings is None:
+            self.settings = _greedy_settings(self.terms, self.qubit_count)
+        if self.offset is None:
+            self.offset = sum(c for c, p in self.terms if p.is_identity())
 
     def to_matrix(self) -> np.ndarray:
         return pauli_sum_matrix(self.terms, self.qubit_count)
 
 
-def witness_value_exact(state, witness: WitnessOperator) -> float:
-    """<psi|W|psi> or Tr(rho W), exact.
-
-    Pure states are evaluated term by term; density matrices against the
-    dense form.  Both routes agree with each other within 1e-10.
-    """
-    if isinstance(state, StateVector):
-        if state.num_qubits != witness.qubit_count:
-            raise ValueError("state and witness dimensions differ")
-        return expectation(state, [(c, p) for c, p in witness.terms])
-    if isinstance(state, DensityMatrix):
-        if state.num_qubits != witness.qubit_count:
-            raise ValueError("state and witness dimensions differ")
-        val = np.trace(state.matrix @ witness.to_matrix())
-        return float(np.real(val))
-    raise TypeError(f"cannot evaluate witness on {type(state).__name__}")
+def witness_value_exact(state: StateVector, witness: WitnessOperator) -> float:
+    """<psi|W|psi>, exact, evaluated term by term."""
+    if state.num_qubits != witness.qubit_count:
+        raise ValueError("state and witness dimensions differ")
+    return expectation(state, witness.terms)
 
 
 # W-state witnesses ------------------------------------------------------------
@@ -246,76 +254,66 @@ def cluster_witness(n: int) -> WitnessOperator:
         if abs(coeff) > 1e-15
     ]
 
-    # the two chain patterns: x on even or odd 0-based positions, z elsewhere
-    def pattern(x_parity: int) -> tuple[str, ...]:
-        return tuple("x" if q % 2 == x_parity else "z" for q in range(n))
-
-    witness = WitnessOperator(term_list, f"C_{n}", n, settings=None)
-    witness.settings = _greedy_settings(
-        witness, preset_bases=[pattern(1), pattern(0)]
-    )
-    witness.offset = sum(c for c, p in term_list if p.is_identity())
-    return witness
+    # the two chain patterns: x on odd or even 0-based positions, z elsewhere;
+    # each non-identity term goes to the first pattern it fits
+    patterns = [
+        tuple("x" if q % 2 == x_parity else "z" for q in range(n))
+        for x_parity in (1, 0)
+    ]
+    shot_terms = {bases: [] for bases in patterns}
+    for coeff, pauli in term_list:
+        if not pauli.is_identity():
+            bases = next(b for b in patterns if _fits(b, pauli))
+            shot_terms[bases].append((coeff, pauli.support()))
+    settings = [MeasurementSetting(b, tuple(t)) for b, t in shot_terms.items()]
+    return WitnessOperator(term_list, f"C_{n}", n, settings=settings)
 
 
 # setting grouping ---------------------------------------------------------------
 
 
-def _greedy_settings(witness: WitnessOperator, preset_bases=None):
-    """Assign every non-identity term to one setting, opening new settings
-    greedily; identity terms become the offset."""
-    n = witness.qubit_count
-    slots: list[dict] = [
-        {"assign": list(b), "shot": []} for b in (preset_bases or [])
-    ]
+def _fits(bases, pauli: PauliString) -> bool:
+    """True when ``bases`` reads, or leaves open (None), the axis of every
+    non-identity letter of ``pauli``."""
+    for c, b in zip(pauli.labels, bases):
+        if c != "I" and b is not None and b != c.lower():
+            return False
+    return True
 
-    def fits(slot, pauli: PauliString) -> bool:
-        for q, c in enumerate(pauli.labels):
-            if c == "I":
-                continue
-            want = c.lower()
-            have = slot["assign"][q]
-            if have is not None and have != want:
-                return False
-        return True
 
-    for coeff, pauli in witness.terms:
+def _greedy_settings(terms, n: int) -> list[MeasurementSetting]:
+    """Assign every non-identity term to the first setting it fits, opening
+    a new setting when none does; unread qubits are read along z."""
+    slots: list[tuple[list, list]] = []  # (basis per qubit or None, shot terms)
+    for coeff, pauli in terms:
         if pauli.is_identity():
             continue
-        target = None
         for slot in slots:
-            if fits(slot, pauli):
-                target = slot
+            if _fits(slot[0], pauli):
                 break
-        if target is None:
-            target = {"assign": [None] * n, "shot": []}
-            slots.append(target)
+        else:
+            slot = ([None] * n, [])
+            slots.append(slot)
         for q, c in enumerate(pauli.labels):
             if c != "I":
-                target["assign"][q] = c.lower()
-        target["shot"].append((coeff, pauli.support()))
-
-    settings = []
-    for slot in slots:
-        if not slot["shot"]:
-            continue
-        bases = tuple(b if b is not None else "z" for b in slot["assign"])
-        settings.append(
-            MeasurementSetting(bases=bases, shot_terms=tuple(slot["shot"]))
+                slot[0][q] = c.lower()
+        slot[1].append((coeff, pauli.support()))
+    return [
+        MeasurementSetting(
+            bases=tuple(b if b is not None else "z" for b in assign),
+            shot_terms=tuple(shot),
         )
-    return settings
+        for assign, shot in slots
+    ]
 
 
 def group_settings(witness: WitnessOperator) -> list[MeasurementSetting]:
-    """The witness's measurement plan; derived greedily when absent.
+    """The witness's measurement plan.
 
     Every non-identity term is owned by exactly one setting, each setting
     fixes one basis per qubit, and the plan plus offset reconstructs the
     witness exactly.
     """
-    if witness.settings is None:
-        witness.settings = _greedy_settings(witness)
-        witness.offset = sum(c for c, p in witness.terms if p.is_identity())
     return witness.settings
 
 

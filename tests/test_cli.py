@@ -168,6 +168,22 @@ class TestExitCodes:
         assert rc == 2
         assert not os.path.exists(tmp_path / "o")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["witness", "--target", "w3", "--shots", "-5"],
+            ["tomo", "--target", "bell:1:2", "--shots", "-1"],
+            ["spectroscopy", "--points", "0"],
+            ["spectroscopy", "--points", "1"],
+            ["spectroscopy", "--points", "2"],
+        ],
+        ids=["witness-shots-neg", "tomo-shots-neg", "points-0", "points-1", "points-2"],
+    )
+    def test_bad_count_is_usage_error(self, config_path, tmp_path, argv):
+        rc = main([*argv, "--config", config_path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert not os.path.exists(tmp_path / "o")
+
     def test_unknown_subcommand_exits_two(self, small_config_path):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "--config", small_config_path])

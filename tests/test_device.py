@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -9,13 +8,10 @@ from hypothesis import strategies as st
 from conftest import GHZ, MHZ, simple_config
 from phasebus.config_io import example_config_dict, parse_config
 from phasebus.device import (
-    HBAR,
     ConfigError,
     DeviceConfig,
     ProtocolError,
     TlsParams,
-    coupling_from_microscopics,
-    dispersive_coupling,
     exchange_window_gate,
     full_hamiltonian,
     iswap,
@@ -82,31 +78,6 @@ class TestDeviceConfig:
             cfg.tls_params(0)
         with pytest.raises(ProtocolError):
             cfg.tls_params(3)
-
-
-class TestMicroscopicCoupling:
-    def test_symmetric_defect_decouples(self):
-        assert coupling_from_microscopics(2e-9, 2e-9, 6 * GHZ, 1e-12).magnitude == 0.0
-
-    def test_quadrupling_frequency_halves_coupling(self):
-        s1 = coupling_from_microscopics(2e-9, 0.0, 6 * GHZ, 1e-12).magnitude
-        s4 = coupling_from_microscopics(2e-9, 0.0, 24 * GHZ, 1e-12).magnitude
-        assert s4 == pytest.approx(s1 / 2)
-
-    def test_against_independent_arithmetic(self):
-        # re-derive with scalar math: S = (dI/2) sqrt(hbar / (2 w C)) / hbar
-        icr, icl, omega, cap = 2e-9, 0.0, 2 * math.pi * 6e9, 1e-12
-        expected = ((icr - icl) / 2.0) * math.sqrt(HBAR / (2.0 * omega * cap)) / HBAR
-        got = coupling_from_microscopics(icr, icl, omega, cap)
-        assert got.magnitude == pytest.approx(expected, rel=1e-12)
-        assert got.sign == 1
-        assert coupling_from_microscopics(icl, icr, omega, cap).sign == -1
-
-    def test_rejects_nonpositive_inputs(self):
-        with pytest.raises(ValueError):
-            coupling_from_microscopics(1e-9, 0.0, -1.0, 1e-12)
-        with pytest.raises(ValueError):
-            coupling_from_microscopics(1e-9, 0.0, 6 * GHZ, 0.0)
 
 
 class TestFullHamiltonian:
@@ -211,22 +182,6 @@ class TestIswap:
         for _ in range(4):
             out = iswap(out, 1, config3)
         assert np.abs(out.amplitudes - state.amplitudes).max() < 1e-10
-
-
-class TestDispersiveCoupling:
-    def test_arithmetic(self):
-        assert dispersive_coupling(40e6, 200e6) == pytest.approx(2e6)
-
-    def test_zero_splitting(self):
-        assert dispersive_coupling(0.0, 200e6) == 0.0
-
-    def test_zero_detuning_rejected(self):
-        with pytest.raises(ValueError):
-            dispersive_coupling(40e6, 0.0)
-
-    def test_monotone_decay(self):
-        vals = [dispersive_coupling(40e6, d) for d in (1e8, 2e8, 4e8, 8e8)]
-        assert all(a > b > 0 for a, b in zip(vals, vals[1:]))
 
 
 def _resonant_config(num_tls: int, ratio: float, spacing_hz: float = 200e6):

@@ -16,7 +16,6 @@ from phasebus.protocols import (
     cluster_sequence,
     cluster_state,
     execute_schedule,
-    initialize_register,
     reset_bus,
     run_bell,
     run_cluster_protocol,
@@ -116,24 +115,6 @@ class TestInitializeRegister:
         moved = iswap(state, 1, config3)
         assert abs(moved.amplitudes[0] - alpha) < 1e-12
         assert abs(moved.amplitudes[1] - (-1j) * beta) < 1e-12
-
-    def test_all_ground_is_noop(self, config3):
-        out = initialize_register(ground_register(3), config3)
-        assert out.amplitudes[0] == 1.0
-
-    def test_random_product_input(self, config3):
-        rng = np.random.default_rng(17)
-        amps = np.array([1.0], dtype=complex)
-        for _ in range(3):
-            q = rng.normal(size=2) + 1j * rng.normal(size=2)
-            amps = np.kron(q / np.linalg.norm(q), amps)
-        state = StateVector(np.kron(amps, [1.0, 0.0]))  # bus |0>
-        out = initialize_register(state, config3)
-        assert fidelity(out, ground_register(3)) > 1 - 1e-12
-
-    def test_rejects_excited_bus(self, config3):
-        with pytest.raises(ProtocolError, match="bus"):
-            initialize_register(basis_state("1ggg"), config3)
 
 
 class TestWStateTimes:

@@ -78,6 +78,19 @@ class TestSynthSingleTls:
         cfg = single_tls_config()
         with pytest.raises(ValueError):
             synth_spectroscopy(cfg, [0.0, 0.5])
+
+    @pytest.mark.parametrize("edit", ["reversed", "repeated", "nan", "inf"])
+    def test_grid_must_be_finite_and_increasing(self, edit):
+        cfg = single_tls_config()
+        grid = default_bias_grid(cfg, 50)
+        if edit == "reversed":
+            grid = grid[::-1]
+        elif edit == "repeated":
+            grid[10] = grid[9]
+        else:
+            grid[10] = float(edit)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            synth_spectroscopy(cfg, grid)
         with pytest.raises(ValueError):
             synth_spectroscopy(cfg, [0.5, 0.9995])
 

@@ -4,9 +4,9 @@ import pytest
 from conftest import literal_cluster_operator
 from phasebus.paulis import SIGMA, PauliString
 from phasebus.protocols import cluster_state, w_state
-from phasebus.states import DensityMatrix, StateVector
+from phasebus.states import StateVector
 from phasebus.witnesses import (
-    BASIS_LABELS,
+    BASIS_DIRECTIONS,
     StabilizerSet,
     WitnessOperator,
     cluster_stabilizers,
@@ -41,9 +41,8 @@ def random_product_state(rng, n) -> StateVector:
 def plan_matrix(witness: WitnessOperator) -> np.ndarray:
     """Rebuild the witness from its estimation plan (offset + settings)."""
     n = witness.qubit_count
-    settings = group_settings(witness)  # sets the offset of a greedy plan
     total = witness.offset * np.eye(2**n, dtype=complex)
-    for setting in settings:
+    for setting in group_settings(witness):
         for coeff, support in setting.shot_terms:
             mats = [
                 AXIS_MATRIX[setting.bases[q]] if q in support else np.eye(2)
@@ -200,7 +199,7 @@ class TestGroupSettings:
             for s in group_settings(w):
                 assert len(s.bases) == w.qubit_count
                 for b in s.bases:
-                    assert b in BASIS_LABELS
+                    assert b in BASIS_DIRECTIONS
 
 
 class TestWitnessValueExact:
@@ -215,11 +214,6 @@ class TestWitnessValueExact:
                 by_terms = witness_value_exact(s, w)
                 by_dense = float(np.real(np.vdot(v, dense @ v)))
                 assert by_terms == pytest.approx(by_dense, abs=1e-10)
-
-    def test_density_matrix_overload(self):
-        w = w_witness(3)
-        rho = DensityMatrix(np.eye(8) / 8)
-        assert witness_value_exact(rho, w) == pytest.approx(2 / 3 - 1 / 8, abs=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

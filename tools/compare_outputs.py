@@ -1,0 +1,149 @@
+"""Run the same phasebus commands against two source trees and report every
+difference in exit code, stdout or output file.
+
+Usage (from anywhere):
+
+    python3 tools/compare_outputs.py OLD/src NEW/src [--work DIR]
+
+Each tree runs in its own directory under ``--work`` (a fresh temporary
+directory, removed afterwards, by default), which holds a copy of this
+repository's ``demos/``. Every command runs there with the same relative
+``--config`` and ``--out`` paths, so the manifests match byte for byte. The
+commands are:
+
+- the ``lab-day`` and ``w-witness`` experiment lists of
+  ``bench/workloads.py``, for seeds 1 and 2
+- ``witness`` w3 ``--decomposed`` and c4, each with 50 shots and
+  ``--emit-shots``; exact ``witness`` w8; exact ``tomo``;
+  ``spectroscopy --points 3``
+- every demo script
+
+stderr is not compared: warnings carry source paths and line numbers.
+Exits 1 when anything differs, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+import workloads  # noqa: E402
+
+CONFIG = workloads.DEMO_CONFIG
+EXTRA = {
+    "witness-w3-decomposed": ["witness", "--target", "w3", "--decomposed",
+                              "--shots", "50", "--emit-shots"],
+    "witness-c4": ["witness", "--target", "c4", "--shots", "50", "--emit-shots"],
+    "witness-w8-exact": ["witness", "--target", "w8"],
+    "tomo-exact": ["tomo", "--target", "bell:1:2"],
+    "spectroscopy-3": ["spectroscopy", "--points", "3"],
+}
+
+
+def cases() -> dict[str, list[str]]:
+    """Case name -> argv, relative to a run directory."""
+    phasebus = [sys.executable, "-m", "phasebus"]
+    out = {}
+    for workload in ("lab-day", "w-witness"):
+        for seed in (1, 2):
+            workdir = os.path.join("out", f"{workload}-seed{seed}")
+            for exp in workloads.experiments(workload, seed, workdir):
+                out[exp.out] = phasebus + exp.argv(seed)
+    for name, args in EXTRA.items():
+        out[name] = phasebus + args + ["--config", CONFIG, "--seed", "1",
+                                       "--out", os.path.join("out", name)]
+    for demo in sorted(os.listdir(os.path.join(ROOT, "demos"))):
+        if demo.endswith(".py"):
+            out[demo] = [sys.executable, os.path.join("demos", demo)]
+    return out
+
+
+def run_tree(src: str, rundir: str) -> dict[str, tuple[int, bytes]]:
+    """Run every case against ``src``; case name -> (exit code, stdout)."""
+    shutil.copytree(os.path.join(ROOT, "demos"), os.path.join(rundir, "demos"))
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1")
+    results = {}
+    for name, argv in cases().items():
+        proc = subprocess.run(argv, cwd=rundir, env=env, capture_output=True)
+        results[name] = (proc.returncode, proc.stdout)
+    return results
+
+
+def files_under(top: str) -> set[str]:
+    return {
+        os.path.relpath(os.path.join(d, f), top)
+        for d, _, names in os.walk(top)
+        for f in names
+    }
+
+
+def show_diff(label: str, a: bytes, b: bytes) -> None:
+    lines = difflib.unified_diff(
+        a.decode(errors="replace").splitlines(),
+        b.decode(errors="replace").splitlines(),
+        "old", "new", lineterm="", n=0,
+    )
+    print(f"DIFF {label}")
+    for line in list(lines)[:20]:
+        print(f"    {line}")
+
+
+def compare(old_dir: str, new_dir: str, old_runs: dict, new_runs: dict) -> int:
+    differences = 0
+    for name in old_runs:
+        (old_code, old_out), (new_code, new_out) = old_runs[name], new_runs[name]
+        if old_code != new_code:
+            print(f"DIFF {name}: exit code {old_code} -> {new_code}")
+            differences += 1
+        if old_out != new_out:
+            show_diff(f"{name}: stdout", old_out, new_out)
+            differences += 1
+    old_files = files_under(os.path.join(old_dir, "out"))
+    new_files = files_under(os.path.join(new_dir, "out"))
+    for rel in sorted(old_files ^ new_files):
+        side = "old" if rel in old_files else "new"
+        print(f"DIFF {rel}: only in {side}")
+        differences += 1
+    for rel in sorted(old_files & new_files):
+        with open(os.path.join(old_dir, "out", rel), "rb") as fh:
+            a = fh.read()
+        with open(os.path.join(new_dir, "out", rel), "rb") as fh:
+            b = fh.read()
+        if a != b:
+            show_diff(rel, a, b)
+            differences += 1
+    print(f"{len(old_runs)} commands, {len(old_files | new_files)} output files, "
+          f"{differences} differences")
+    return differences
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src", help="src directory of the old tree")
+    parser.add_argument("new_src", help="src directory of the new tree")
+    parser.add_argument("--work", help="run directory (kept); default: temporary")
+    args = parser.parse_args(argv)
+
+    work = args.work or tempfile.mkdtemp(prefix="compare_outputs_")
+    try:
+        dirs = [os.path.join(work, "old"), os.path.join(work, "new")]
+        runs = []
+        for src, rundir in zip((args.old_src, args.new_src), dirs):
+            os.makedirs(rundir)
+            runs.append(run_tree(src, rundir))
+        return 1 if compare(*dirs, *runs) else 0
+    finally:
+        if args.work is None:
+            shutil.rmtree(work)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
