@@ -79,7 +79,6 @@ from .witnesses import (
     group_settings,
     w3_witness_decomposed,
     w_witness,
-    witness_from_csv,
     witness_to_csv,
     witness_value_exact,
 )

@@ -71,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="five-setting form (w3 only)")
     p.add_argument("--shots", type=int, default=0,
                    help="shots per setting; 0 = exact only")
-    p.add_argument("--emit-shots", action="store_true")
+    p.add_argument("--emit-shots", action="store_true",
+                   help="attach each setting's shot record (needs --shots)")
 
     p = sub.add_parser("tomo", parents=[common], help="two-qubit tomography")
     p.add_argument("--target", default="bell:1:2", help="bell:j:k pair")
@@ -204,6 +205,8 @@ def _witness_preparation(args, config: DeviceConfig):
 
 def _cmd_witness(args, config: DeviceConfig) -> Report:
     _check_count("--shots", args.shots, 0)
+    if args.emit_shots and args.shots == 0:
+        raise UsageError("--emit-shots needs --shots of at least 1")
     witness, n, state = _witness_preparation(args, config)
     report = Report(
         _manifest(
@@ -223,7 +226,7 @@ def _cmd_witness(args, config: DeviceConfig) -> Report:
         )
         report.add("estimate", est.value, stderr=est.stderr)
         report.add("readout_bias_factor", est.bias_factor)
-        if args.emit_shots and est.records:
+        if args.emit_shots:
             for idx, record in enumerate(est.records):
                 report.attach_file(f"shots_setting_{idx}.csv", record.to_csv)
     report.attach_file("witness_terms.csv", functools.partial(witness_to_csv, witness))

@@ -34,7 +34,7 @@ from .states import (
     expectation,
     state_dm_fidelity,
 )
-from .witnesses import BASIS_DIRECTIONS, MeasurementSetting, WitnessOperator, group_settings
+from .witnesses import MeasurementSetting, WitnessOperator, bloch_direction, group_settings
 
 ZERO_BRANCH_TOL = 1e-14
 BUS_GROUND_TOL = 1e-9
@@ -131,11 +131,12 @@ def read_tls(
     return ReadResult(outcome, collapsed)
 
 
-def rotate_for_basis(state: StateVector, qubit: int, basis: str) -> StateVector:
-    """Map the basis's +1 eigenvector to |0> so a z readout measures it."""
-    if basis not in BASIS_DIRECTIONS:
-        raise ValueError(f"unknown basis label {basis!r}")
-    theta, phi = BASIS_DIRECTIONS[basis]
+def rotate_for_basis(state: StateVector, qubit: int, basis) -> StateVector:
+    """Map the basis's +1 eigenvector to |0> so a z readout measures it.
+
+    ``basis`` is a label or a Bloch direction (theta, phi).
+    """
+    theta, phi = bloch_direction(basis)
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     u = np.array(
         [[c, np.exp(-1j * phi) * s], [s, -np.exp(-1j * phi) * c]],
@@ -149,10 +150,15 @@ def rotate_for_basis(state: StateVector, qubit: int, basis: str) -> StateVector:
 
 @dataclass
 class ShotRecord:
-    """Reported +-1 outcomes, one row per shot, one column per read qubit."""
+    """Reported +-1 outcomes, one row per shot, one column per read qubit.
+
+    In CSV form each column header is ``q{qubit}:{basis}``, the basis
+    written as its label or, for a Bloch direction, as ``{theta}/{phi}``
+    in radians with round-trip float text.
+    """
 
     qubits: tuple[int, ...]
-    bases: tuple[str, ...]
+    bases: tuple
     outcomes: np.ndarray
     shots: int
 
@@ -163,7 +169,11 @@ class ShotRecord:
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow([f"q{q}:{b}" for q, b in zip(self.qubits, self.bases)])
+            header = []
+            for q, b in zip(self.qubits, self.bases):
+                text = b if isinstance(b, str) else f"{float(b[0])!r}/{float(b[1])!r}"
+                header.append(f"q{q}:{text}")
+            writer.writerow(header)
             writer.writerows(self.outcomes.tolist())
 
     @classmethod
@@ -175,6 +185,8 @@ class ShotRecord:
             for col in header:
                 q, b = col.split(":", 1)
                 qubits.append(int(q[1:]))
+                if "/" in b:
+                    b = tuple(float(a) for a in b.split("/"))
                 bases.append(b)
             rows = [[int(v) for v in row] for row in reader]
         arr = np.array(rows, dtype=int)
@@ -234,9 +246,10 @@ def sample_shots(
     """Draw reported +-1 outcomes for the listed TLS qubits.
 
     ``qubits`` must be ascending register indices; ``bases`` gives the
-    measured axis per qubit.  Per shot, per qubit, one uniform draw decides
-    the true outcome and one the report flip, in the order a sequential
-    transfer-and-read of the qubits would consume them.
+    measured axis per qubit, as a label or a Bloch direction (theta, phi).
+    Per shot, per qubit, one uniform draw decides the true outcome and one
+    the report flip, in the order a sequential transfer-and-read of the
+    qubits would consume them.
     """
     qubits = list(qubits)
     bases = list(bases)
@@ -320,6 +333,8 @@ def estimate_witness_sampled(
 
 
 def _shot_values(setting: MeasurementSetting, outcomes: np.ndarray) -> np.ndarray:
+    if setting.count_weights is not None:
+        return np.asarray(setting.count_weights)[(outcomes > 0).sum(axis=1)]
     values = np.zeros(outcomes.shape[0])
     for coeff, support in setting.shot_terms:
         if support:

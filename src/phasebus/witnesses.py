@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from math import comb, cos, isfinite, pi, sin
 
 import numpy as np
 
@@ -33,21 +34,43 @@ BASIS_DIRECTIONS = {
 }
 
 
+def bloch_direction(basis) -> tuple[float, float]:
+    """(theta, phi) of a basis: a ``BASIS_DIRECTIONS`` label or an explicit
+    (theta, phi) pair."""
+    if isinstance(basis, str):
+        if basis not in BASIS_DIRECTIONS:
+            raise ValueError(f"unknown basis label {basis!r}")
+        return BASIS_DIRECTIONS[basis]
+    theta, phi = (float(a) for a in basis)
+    if not (isfinite(theta) and isfinite(phi)):
+        raise ValueError(f"basis direction {basis!r} is not finite")
+    return theta, phi
+
+
 @dataclass(frozen=True)
 class MeasurementSetting:
     """One basis per qubit plus the shot-value rule for its witness share.
 
-    ``shot_terms`` holds (coefficient, qubit-support) pairs: a shot with
-    per-qubit outcomes o contributes sum_k c_k * prod_{q in support_k} o_q.
+    A basis is a label or a Bloch direction (see ``bloch_direction``).  The
+    rule is one of two forms.  ``shot_terms`` holds (coefficient,
+    qubit-support) pairs: a shot with per-qubit outcomes o contributes
+    sum_k c_k * prod_{q in support_k} o_q.  ``count_weights`` holds one value
+    per possible count of +1 outcomes (0..N): a shot contributes the entry
+    for its count.
     """
 
-    bases: tuple[str, ...]
-    shot_terms: tuple[tuple[float, tuple[int, ...]], ...]
+    bases: tuple
+    shot_terms: tuple[tuple[float, tuple[int, ...]], ...] = ()
+    count_weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
         for b in self.bases:
-            if b not in BASIS_DIRECTIONS:
-                raise ValueError(f"unknown basis label {b!r}")
+            bloch_direction(b)
+        if self.count_weights is not None:
+            if self.shot_terms:
+                raise ValueError("a setting has shot terms or count weights, not both")
+            if len(self.count_weights) != len(self.bases) + 1:
+                raise ValueError("count weights need one entry per count 0..N")
 
 
 @dataclass
@@ -92,7 +115,8 @@ def witness_value_exact(state: StateVector, witness: WitnessOperator) -> float:
 
 
 def w_witness(n: int) -> WitnessOperator:
-    """Projector witness ((N-1)/N) I - |W_N><W_N| in Pauli-term form."""
+    """Projector witness ((N-1)/N) I - |W_N><W_N| in Pauli-term form, with
+    the collective plan of ``_w_collective_settings``."""
     if not 2 <= n <= 10:
         raise ValueError("W witness supports 2..10 qubits")
     from .protocols import w_state
@@ -100,7 +124,73 @@ def w_witness(n: int) -> WitnessOperator:
     w = w_state(n).amplitudes
     dense = ((n - 1) / n) * np.eye(2**n) - np.outer(w, w.conj())
     terms = [(float(np.real(c)), p) for c, p in pauli_decompose(dense)]
-    return WitnessOperator(terms, f"W_{n}", n)
+    return WitnessOperator(terms, f"W_{n}", n, settings=_w_collective_settings(n))
+
+
+def _w_collective_settings(n: int) -> list[MeasurementSetting]:
+    """Settings that read every qubit along one shared Bloch direction.
+
+    The non-identity part of the W witness, per body order k = 1..N, is
+    t_k S_k(Z) + t_xx (S_k(XX) + S_k(YY)) with t_k = -(N - 2k) / (N 2^N),
+    t_xx = -2 / (N 2^N), and S_k(P) the sum of all weight-k Pauli strings
+    carrying the letters P and Z on the rest of their support.  Reading all
+    qubits along n = (sin t cos p, sin t sin p, cos t), the k-th elementary
+    symmetric polynomial e_k of the +-1 outcomes estimates e_k(n . sigma).
+    Averaged over N + 1 equally spaced azimuths p (exact for the degree <= N
+    trigonometric polynomials involved), that is
+    sum_i cos^(k-2i) t sin^(2i) t A_i with A_0 = S_k(Z),
+    A_1 = (S_k(XX) + S_k(YY)) / 2 and A_i for i >= 2 absent from the witness.
+    So the weights w_c of e_k on the polar angles t_c (z plus
+    floor((N+1)/2) cones below the equator) solve, for i = 0..floor(k/2),
+    sum_c cos^(k-2i) t_c sin^(2i) t_c w_c = (t_k, 2 t_xx, 0, ...)_i;
+    the minimum-norm solution comes from one square solve of the Gram
+    matrix (``_solve``).  A setting's count table is sum_k w_ck e_k(m),
+    split evenly over a cone's azimuths.  Permutationally invariant
+    tomography (Toth et al., PRL 105, 250403 (2010)) rests on the same
+    reduction.
+    """
+    cones = (n + 1) // 2
+    thetas = [0.0] + [pi / 2 * (c + 1) / (cones + 0.5) for c in range(cones)]
+    scale = 1.0 / (n * 2**n)
+    tables = np.zeros((len(thetas), n + 1))  # [polar angle, count of +1]
+    for k in range(1, n + 1):
+        rows = [[cos(t) ** (k - 2 * i) * sin(t) ** (2 * i) for t in thetas]
+                for i in range(k // 2 + 1)]
+        target = [-(n - 2 * k) * scale, -4.0 * scale] + [0.0] * k  # t_k, 2 t_xx, 0..
+        gram = [[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows]
+        y = _solve(gram, target[: len(rows)])
+        weights = [sum(a * r[c] for a, r in zip(y, rows)) for c in range(len(thetas))]
+        # e_k of N outcomes of which m are +1
+        e_k = [sum((-1) ** j * comb(n - m, j) * comb(m, k - j) for j in range(k + 1))
+               for m in range(n + 1)]
+        tables += np.outer(weights, e_k)
+    settings = [MeasurementSetting(("z",) * n, count_weights=tuple(tables[0].tolist()))]
+    for theta, table in zip(thetas[1:], tables[1:] / (n + 1)):
+        for j in range(n + 1):
+            direction = (theta, 2 * pi * j / (n + 1))
+            settings.append(
+                MeasurementSetting((direction,) * n, count_weights=tuple(table.tolist()))
+            )
+    return settings
+
+
+def _solve(a: list[list[float]], b: list[float]) -> list[float]:
+    """x with a x = b, by Gauss-Jordan elimination with partial pivoting.
+
+    The W plan's systems are at most 6 x 6.  Solving them in Python keeps
+    numpy's LAPACK solver out of a witness run, whose first call alone adds
+    about 0.3 MB to the process's resident peak.
+    """
+    m = [row + [v] for row, v in zip(a, b)]
+    n = len(m)
+    for i in range(n):
+        p = max(range(i, n), key=lambda r: abs(m[r][i]))
+        m[i], m[p] = m[p], m[i]
+        for r in range(n):
+            if r != i:
+                f = m[r][i] / m[i][i]
+                m[r] = [x - f * y for x, y in zip(m[r], m[i])]
+    return [m[i][n] / m[i][i] for i in range(n)]
 
 
 def _w3_formula_matrix() -> np.ndarray:
@@ -327,16 +417,3 @@ def witness_to_csv(witness: WitnessOperator, path) -> None:
         for coeff, pauli in witness.terms:
             writer.writerow([repr(float(coeff)), pauli.labels])
 
-
-def witness_from_csv(path, target_label: str = "") -> WitnessOperator:
-    terms = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["coefficient", "pauli_string"]:
-            raise ValueError(f"unexpected witness CSV header {header}")
-        for coeff, labels in reader:
-            terms.append((float(coeff), PauliString(labels)))
-    if not terms:
-        raise ValueError("empty witness CSV")
-    return WitnessOperator(terms, target_label, terms[0][1].num_qubits)

@@ -11,7 +11,7 @@ from phasebus.config_io import example_config_dict, load_config, parse_config
 from phasebus.device import ConfigError
 from phasebus.measurement import ReadoutModel, ShotRecord, estimate_witness_sampled
 from phasebus.protocols import run_w_protocol
-from phasebus.witnesses import w3_witness_decomposed, witness_from_csv
+from phasebus.witnesses import w3_witness_decomposed
 
 
 @pytest.fixture
@@ -176,8 +176,10 @@ class TestExitCodes:
             ["spectroscopy", "--points", "0"],
             ["spectroscopy", "--points", "1"],
             ["spectroscopy", "--points", "2"],
+            ["witness", "--target", "w3", "--emit-shots"],
         ],
-        ids=["witness-shots-neg", "tomo-shots-neg", "points-0", "points-1", "points-2"],
+        ids=["witness-shots-neg", "tomo-shots-neg", "points-0", "points-1", "points-2",
+             "emit-shots-without-shots"],
     )
     def test_bad_count_is_usage_error(self, config_path, tmp_path, argv):
         rc = main([*argv, "--config", config_path, "--out", str(tmp_path / "o")])
@@ -280,8 +282,10 @@ class TestWitnessCommand:
             assert (back.qubits, back.bases) == (record.qubits, record.bases)
             assert np.array_equal(back.outcomes, record.outcomes)
         assert not os.path.exists(os.path.join(out, "shots_setting_5.csv"))
-        terms = witness_from_csv(os.path.join(out, "witness_terms.csv")).terms
-        assert [(c, p.labels) for c, p in terms] == [
+        with open(os.path.join(out, "witness_terms.csv"), newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["coefficient", "pauli_string"]
+        assert [(float(c), labels) for c, labels in rows[1:]] == [
             (c, p.labels) for c, p in witness.terms
         ]
 
@@ -368,13 +372,15 @@ class TestDeterminism:
             ["witness", "--target", "w3", "--decomposed", "--shots", "3000",
              "--seed", "11"],
             ["witness", "--target", "c3", "--shots", "3000", "--seed", "11"],
+            ["witness", "--target", "w3", "--shots", "3000", "--emit-shots",
+             "--seed", "11"],
             ["tomo", "--target", "bell:1:2", "--shots", "3000", "--seed", "11"],
             ["spectroscopy", "--points", "800", "--seed", "11"],
             ["rwa-check", "--seed", "11"],
         ]
         digests = {}
-        for cmd in cmds:
-            out = os.path.join(outroot, cmd[0] + ("-d" if "--decomposed" in cmd else ""))
+        for idx, cmd in enumerate(cmds):
+            out = os.path.join(outroot, f"{idx}-{cmd[0]}")
             rc = main(cmd[:1] + ["--config", config_path, "--out", out] + cmd[1:])
             assert rc == 0
             for name in sorted(os.listdir(out)):

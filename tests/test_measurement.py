@@ -126,12 +126,16 @@ class TestRotateForBasis:
         out = rotate_for_basis(plus, 0, "x")
         assert abs(out.amplitudes[0] - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("basis", ["x", "y", "z+x", "z-x", "z+y", "z-y"])
+    @pytest.mark.parametrize(
+        "basis",
+        ["x", "y", "z+x", "z-x", "z+y", "z-y", (0.7, 2.1), (1.9, -0.4), (2.6, 4.0)],
+        ids=str,
+    )
     def test_plus_eigenvector_maps_to_ground(self, basis):
         # oracle: eigen-decompose the measured axis directly
-        from phasebus.measurement import BASIS_DIRECTIONS
+        from phasebus.witnesses import BASIS_DIRECTIONS
 
-        theta, phi = BASIS_DIRECTIONS[basis]
+        theta, phi = basis if isinstance(basis, tuple) else BASIS_DIRECTIONS[basis]
         axis = (
             np.sin(theta) * np.cos(phi) * SIGMA["X"]
             + np.sin(theta) * np.sin(phi) * SIGMA["Y"]
@@ -145,6 +149,8 @@ class TestRotateForBasis:
     def test_unknown_basis(self):
         with pytest.raises(ValueError):
             rotate_for_basis(basis_state("0"), 0, "w")
+        with pytest.raises(ValueError):
+            rotate_for_basis(basis_state("0"), 0, (np.nan, 0.0))
 
 
 def physical_shots(state, qubits, bases, shots, config, readout, rng):
@@ -211,6 +217,23 @@ class TestSampleShots:
         assert back.bases == rec.bases
         assert np.array_equal(back.outcomes, rec.outcomes)
 
+    def test_csv_round_trip_with_directions(self, tmp_path, config3):
+        # labels keep their header text; a direction is written theta/phi
+        state = run_w_protocol(config3, 3).final_state
+        ro = ReadoutModel(1.0, seed=15)
+        bases = ("z+x", (0.5711986642890533, 2.0943951023931953),
+                 (np.float64(1.0), -0.25))
+        rec = sample_shots(state, [1, 2, 3], bases, 40, ro, derive_rng(3, "csv"))
+        path = tmp_path / "shots.csv"
+        rec.to_csv(path)
+        assert path.read_text().splitlines()[0] == (
+            "q1:z+x,q2:0.5711986642890533/2.0943951023931953,q3:1.0/-0.25"
+        )
+        back = ShotRecord.from_csv(path)
+        assert back.qubits == rec.qubits
+        assert back.bases == bases
+        assert np.array_equal(back.outcomes, rec.outcomes)
+
 
 class TestWitnessEstimation:
     def test_converges_to_exact_w3(self, config3):
@@ -227,16 +250,32 @@ class TestWitnessEstimation:
         est = estimate_witness_sampled(corr.corrected_state, cluster_witness(4), 20000, ro)
         assert abs(est.value - (-1.0)) <= max(4 * est.stderr, 1e-9)
 
-    def test_generic_w4_witness_samples_without_special_grouping(self, config5):
-        # N > 3 W witnesses fall back to greedy per-term settings
+    def test_w4_witness_samples_in_collective_settings(self, config5):
+        # the W_N plan reads every qubit along one shared direction per
+        # setting: z plus two cones of five azimuths for N = 4
         from phasebus.witnesses import w_witness, group_settings
 
         w4 = w_witness(4)
         settings = group_settings(w4)
-        assert len(settings) > 2  # no compact decomposition claimed
+        assert len(settings) == 11
         state = run_w_protocol(config5, 4).final_state
         est = estimate_witness_sampled(state, w4, 20000, ReadoutModel(1.0, 51))
         assert abs(est.value - (-0.25)) <= 4 * est.stderr
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_collective_w_estimate_within_four_stderr(self, n):
+        # the c09 rule at 1000 shots per setting: within 4 standard errors
+        # of the exact value on at least 19 of 20 seeds
+        from phasebus.witnesses import w_witness
+
+        witness = w_witness(n)
+        state = run_w_protocol(simple_config(n), n).final_state
+        hits = 0
+        for seed in range(20):
+            ro = ReadoutModel(1.0, 500 + seed)
+            est = estimate_witness_sampled(state, witness, 1000, ro)
+            hits += abs(est.value - (-1.0 / n)) <= 4 * est.stderr
+        assert hits >= 19
 
     def test_stderr_halves_with_quadrupled_shots(self, config3):
         wd = w3_witness_decomposed()

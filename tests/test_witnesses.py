@@ -1,8 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
 from conftest import literal_cluster_operator
-from phasebus.paulis import SIGMA, PauliString
+from phasebus.paulis import SIGMA, PauliString, pauli_sum_matrix
 from phasebus.protocols import cluster_state, w_state
 from phasebus.states import StateVector
 from phasebus.witnesses import (
@@ -14,7 +16,6 @@ from phasebus.witnesses import (
     group_settings,
     w3_witness_decomposed,
     w_witness,
-    witness_from_csv,
     witness_to_csv,
     witness_value_exact,
 )
@@ -38,20 +39,51 @@ def random_product_state(rng, n) -> StateVector:
     return StateVector(amps)
 
 
+def axis_matrix(basis) -> np.ndarray:
+    """sigma . n for a basis label or a Bloch direction (theta, phi)."""
+    if isinstance(basis, str):
+        return AXIS_MATRIX[basis]
+    theta, phi = basis
+    return (
+        np.sin(theta) * np.cos(phi) * SIGMA["X"]
+        + np.sin(theta) * np.sin(phi) * SIGMA["Y"]
+        + np.cos(theta) * SIGMA["Z"]
+    )
+
+
+def kron_qubits(mats) -> np.ndarray:
+    """Tensor product with qubit 0 innermost."""
+    full = np.array([[1.0]], dtype=complex)
+    for m in reversed(mats):
+        full = np.kron(full, m)
+    return full
+
+
+def count_operator(bases, weights) -> np.ndarray:
+    """sum over outcome strings o of weights[#(o_q = +1)] prod_q P_q(o_q),
+    with P_q(o) = (I + o sigma . n_q) / 2."""
+    n = len(bases)
+    total = np.zeros((2**n, 2**n), dtype=complex)
+    for index in range(2**n):
+        signs = [1 - 2 * ((index >> q) & 1) for q in range(n)]
+        projectors = [(np.eye(2) + o * axis_matrix(b)) / 2 for o, b in zip(signs, bases)]
+        total += weights[signs.count(1)] * kron_qubits(projectors)
+    return total
+
+
 def plan_matrix(witness: WitnessOperator) -> np.ndarray:
     """Rebuild the witness from its estimation plan (offset + settings)."""
     n = witness.qubit_count
     total = witness.offset * np.eye(2**n, dtype=complex)
     for setting in group_settings(witness):
+        if setting.count_weights is not None:
+            total += count_operator(setting.bases, setting.count_weights)
         for coeff, support in setting.shot_terms:
             mats = [
-                AXIS_MATRIX[setting.bases[q]] if q in support else np.eye(2)
+                axis_matrix(setting.bases[q]) if q in support else np.eye(2)
                 for q in range(n)
             ]
-            full = np.array([[1.0]], dtype=complex)
-            for q in reversed(range(n)):
-                full = np.kron(full, mats[q])
-            total += coeff * full
+            total += coeff * kron_qubits(mats)
     return total
 
 
@@ -113,9 +145,57 @@ class TestW3Decomposed:
         assert np.abs(pauli_sum_matrix(wd.terms) - wd.to_matrix()).max() < 1e-12
 
     def test_plan_rebuilds_matrix(self):
-        # the greedy plan of w_witness(4) must cover every term to rebuild it
-        for w in (w3_witness_decomposed(), w_witness(4)):
-            assert np.abs(plan_matrix(w) - w.to_matrix()).max() < 1e-12
+        w = w3_witness_decomposed()
+        assert np.abs(plan_matrix(w) - w.to_matrix()).max() < 1e-12
+
+
+def rotated_count_distribution(amps: np.ndarray, n: int, direction) -> np.ndarray:
+    """P(m of the n qubits read +1) when every qubit is read along one Bloch
+    direction, from the direction's eigenvectors built here."""
+    theta, phi = direction
+    plus = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+    minus = np.array([np.sin(theta / 2), -np.exp(1j * phi) * np.cos(theta / 2)])
+    to_eigenbasis = np.array([plus.conj(), minus.conj()])
+    psi = amps.reshape((2,) * n)
+    for axis in range(n):
+        psi = np.moveaxis(np.tensordot(to_eigenbasis, psi, axes=([1], [axis])), 0, axis)
+    probs = np.abs(psi.reshape(-1)) ** 2
+    minus_count = np.array([bin(i).count("1") for i in range(2**n)])
+    return np.bincount(n - minus_count, weights=probs, minlength=n + 1)
+
+
+class TestWCollectivePlan:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_plan_rebuilds_matrix(self, n):
+        w = w_witness(n)
+        assert np.abs(plan_matrix(w) - w.to_matrix()).max() < 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_settings_count_and_form(self, n):
+        # z plus floor((N+1)/2) cones of N+1 azimuths, within the (N+1)(N+2)/2
+        # generic collective directions; each reads all qubits along one
+        # direction and weighs a shot by its count of +1 outcomes
+        counts = {2: 4, 3: 9, 4: 11, 5: 19, 6: 22, 7: 33, 8: 37, 9: 51, 10: 56}
+        settings = group_settings(w_witness(n))
+        assert len(settings) == counts[n] <= (n + 1) * (n + 2) // 2
+        for s in settings:
+            assert len(set(s.bases)) == 1 and len(s.bases) == n
+            assert s.shot_terms == () and len(s.count_weights) == n + 1
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 10])
+    def test_plan_expectation_matches_exact(self, n):
+        # past the sizes where rebuilding the dense matrix is cheap, compare
+        # the plan's expectation with the term-by-term value instead
+        rng = np.random.default_rng(300 + n)
+        w = w_witness(n)
+        random = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        for state in (w_state(n), StateVector(random / np.linalg.norm(random))):
+            value = w.offset
+            for s in group_settings(w):
+                direction = (0.0, 0.0) if s.bases[0] == "z" else s.bases[0]
+                dist = rotated_count_distribution(state.amplitudes, n, direction)
+                value += float(dist @ np.asarray(s.count_weights))
+            assert value == pytest.approx(witness_value_exact(state, w), abs=1e-12)
 
 
 class TestClusterStabilizers:
@@ -199,7 +279,11 @@ class TestGroupSettings:
             for s in group_settings(w):
                 assert len(s.bases) == w.qubit_count
                 for b in s.bases:
-                    assert b in BASIS_DIRECTIONS
+                    # a label of the basis table or a finite (theta, phi)
+                    if isinstance(b, str):
+                        assert b in BASIS_DIRECTIONS
+                    else:
+                        assert len(b) == 2 and np.isfinite(b).all()
 
 
 class TestWitnessValueExact:
@@ -225,12 +309,9 @@ class TestSerialization:
         w = cluster_witness(3)
         path = tmp_path / "witness.csv"
         witness_to_csv(w, path)
-        back = witness_from_csv(path, target_label=w.target_label)
-        assert len(back.terms) == len(w.terms)
-        assert np.abs(back.to_matrix() - w.to_matrix()).max() < 1e-12
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1.0,XX\n")
-        with pytest.raises(ValueError, match="header"):
-            witness_from_csv(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["coefficient", "pauli_string"]
+        back = [(float(c), PauliString(labels)) for c, labels in rows[1:]]
+        assert len(back) == len(w.terms)
+        assert np.abs(pauli_sum_matrix(back) - w.to_matrix()).max() < 1e-12
