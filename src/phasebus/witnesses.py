@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from math import comb, cos, isfinite, pi, sin
+from math import comb, isfinite, pi
 
 import numpy as np
 
@@ -144,7 +144,7 @@ def _w_collective_settings(n: int) -> list[MeasurementSetting]:
     floor((N+1)/2) cones below the equator) solve, for i = 0..floor(k/2),
     sum_c cos^(k-2i) t_c sin^(2i) t_c w_c = (t_k, 2 t_xx, 0, ...)_i;
     the minimum-norm solution comes from one square solve of the Gram
-    matrix (``_solve``).  A setting's count table is sum_k w_ck e_k(m),
+    matrix.  A setting's count table is sum_k w_ck e_k(m),
     split evenly over a cone's azimuths.  Permutationally invariant
     tomography (Toth et al., PRL 105, 250403 (2010)) rests on the same
     reduction.
@@ -153,13 +153,11 @@ def _w_collective_settings(n: int) -> list[MeasurementSetting]:
     thetas = [0.0] + [pi / 2 * (c + 1) / (cones + 0.5) for c in range(cones)]
     scale = 1.0 / (n * 2**n)
     tables = np.zeros((len(thetas), n + 1))  # [polar angle, count of +1]
+    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
     for k in range(1, n + 1):
-        rows = [[cos(t) ** (k - 2 * i) * sin(t) ** (2 * i) for t in thetas]
-                for i in range(k // 2 + 1)]
+        rows = np.array([cos_t ** (k - 2 * i) * sin_t ** (2 * i) for i in range(k // 2 + 1)])
         target = [-(n - 2 * k) * scale, -4.0 * scale] + [0.0] * k  # t_k, 2 t_xx, 0..
-        gram = [[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows]
-        y = _solve(gram, target[: len(rows)])
-        weights = [sum(a * r[c] for a, r in zip(y, rows)) for c in range(len(thetas))]
+        weights = np.linalg.solve(rows @ rows.T, target[: len(rows)]) @ rows
         # e_k of N outcomes of which m are +1
         e_k = [sum((-1) ** j * comb(n - m, j) * comb(m, k - j) for j in range(k + 1))
                for m in range(n + 1)]
@@ -172,25 +170,6 @@ def _w_collective_settings(n: int) -> list[MeasurementSetting]:
                 MeasurementSetting((direction,) * n, count_weights=tuple(table.tolist()))
             )
     return settings
-
-
-def _solve(a: list[list[float]], b: list[float]) -> list[float]:
-    """x with a x = b, by Gauss-Jordan elimination with partial pivoting.
-
-    The W plan's systems are at most 6 x 6.  Solving them in Python keeps
-    numpy's LAPACK solver out of a witness run, whose first call alone adds
-    about 0.3 MB to the process's resident peak.
-    """
-    m = [row + [v] for row, v in zip(a, b)]
-    n = len(m)
-    for i in range(n):
-        p = max(range(i, n), key=lambda r: abs(m[r][i]))
-        m[i], m[p] = m[p], m[i]
-        for r in range(n):
-            if r != i:
-                f = m[r][i] / m[i][i]
-                m[r] = [x - f * y for x, y in zip(m[r], m[i])]
-    return [m[i][n] / m[i][i] for i in range(n)]
 
 
 def _w3_formula_matrix() -> np.ndarray:

@@ -145,8 +145,12 @@ class TestW3Decomposed:
         assert np.abs(pauli_sum_matrix(wd.terms) - wd.to_matrix()).max() < 1e-12
 
     def test_plan_rebuilds_matrix(self):
-        w = w3_witness_decomposed()
-        assert np.abs(plan_matrix(w) - w.to_matrix()).max() < 1e-12
+        # a bare term list (W4's 58 terms) gets the greedy plan, which must
+        # cover every term to rebuild it
+        greedy_w4 = WitnessOperator(w_witness(4).terms, "W_4", 4)
+        assert all(s.count_weights is None for s in greedy_w4.settings)
+        for w in (w3_witness_decomposed(), greedy_w4):
+            assert np.abs(plan_matrix(w) - w.to_matrix()).max() < 1e-12
 
 
 def rotated_count_distribution(amps: np.ndarray, n: int, direction) -> np.ndarray:
@@ -275,7 +279,8 @@ class TestGroupSettings:
         assert settings[0].bases == ("z", "z")
 
     def test_every_term_covered_and_every_qubit_assigned(self):
-        for w in (w3_witness_decomposed(), cluster_witness(5), w_witness(4)):
+        greedy_w4 = WitnessOperator(w_witness(4).terms, "W_4", 4)
+        for w in (w3_witness_decomposed(), cluster_witness(5), w_witness(4), greedy_w4):
             for s in group_settings(w):
                 assert len(s.bases) == w.qubit_count
                 for b in s.bases:
