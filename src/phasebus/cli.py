@@ -189,14 +189,12 @@ def _cmd_cluster(args, config: DeviceConfig) -> Report:
 
 def _witness_preparation(args, config: DeviceConfig):
     kind, n = _parse_witness_target(args.target)
+    if args.decomposed and (kind, n) != ("w", 3):
+        raise ProtocolError("--decomposed applies to the three-qubit W witness")
     if kind == "w":
-        if args.decomposed and n != 3:
-            raise ProtocolError("--decomposed applies to the three-qubit W witness")
-        witness = w3_witness_decomposed() if (args.decomposed and n == 3) else w_witness(n)
+        witness = w3_witness_decomposed() if args.decomposed else w_witness(n)
         state = run_w_protocol(config, n).final_state
     else:
-        if args.decomposed:
-            raise ProtocolError("--decomposed applies to the three-qubit W witness")
         witness = cluster_witness(n)
         _, corr = run_cluster_protocol(config, n)
         state = corr.corrected_state

@@ -12,12 +12,13 @@ outcomes into its share of the witness value, plus an identity offset.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from math import comb, isfinite, pi
+from dataclasses import dataclass, field
+from itertools import combinations, product
+from math import comb, isfinite, pi, sqrt
 
 import numpy as np
 
-from .paulis import SIGMA, PauliString, pauli_decompose, pauli_mul, pauli_sum_matrix
+from .paulis import PauliString, pauli_mul, pauli_sum_matrix
 from .states import StateVector, expectation
 
 # Bloch direction (theta, phi) of each basis a single qubit can be read in:
@@ -78,16 +79,14 @@ class WitnessOperator:
     """Real-weighted Pauli sum detecting a target entangled state.
 
     ``settings`` and ``offset`` are its estimation plan: every non-identity
-    term is owned by one setting, and the offset is the identity part no
-    setting owns.  Without a plan, the settings are grouped greedily;
-    without an offset, it is the sum of the identity terms.
+    term is owned by one setting, and the offset is the identity
+    coefficient, which no setting owns.
     """
 
     terms: list[tuple[float, PauliString]]
-    target_label: str
     qubit_count: int
-    offset: float | None = None
-    settings: list[MeasurementSetting] | None = None
+    settings: list[MeasurementSetting]
+    offset: float = field(init=False)
 
     def __post_init__(self):
         for coeff, pauli in self.terms:
@@ -95,10 +94,7 @@ class WitnessOperator:
                 raise ValueError("witness coefficients must be real")
             if pauli.num_qubits != self.qubit_count:
                 raise ValueError("term size does not match qubit count")
-        if self.settings is None:
-            self.settings = _greedy_settings(self.terms, self.qubit_count)
-        if self.offset is None:
-            self.offset = sum(c for c, p in self.terms if p.is_identity())
+        self.offset = sum(c for c, p in self.terms if p.is_identity())
 
     def to_matrix(self) -> np.ndarray:
         return pauli_sum_matrix(self.terms, self.qubit_count)
@@ -119,20 +115,56 @@ def w_witness(n: int) -> WitnessOperator:
     the collective plan of ``_w_collective_settings``."""
     if not 2 <= n <= 10:
         raise ValueError("W witness supports 2..10 qubits")
-    from .protocols import w_state
+    return WitnessOperator(_w_terms(n), n, _w_collective_settings(n))
 
-    w = w_state(n).amplitudes
-    dense = ((n - 1) / n) * np.eye(2**n) - np.outer(w, w.conj())
-    terms = [(float(np.real(c)), p) for c, p in pauli_decompose(dense)]
-    return WitnessOperator(terms, f"W_{n}", n, settings=_w_collective_settings(n))
+
+def _w_coefficients(n: int) -> tuple[list[float], float]:
+    """Pauli coefficients of the W_N witness, by string type.
+
+    Returns (t, t_xx): t[k] weighs every string of k Z letters (t[0] is the
+    identity), t_xx every string with an XX or YY pair and Z letters on any
+    subset of the other qubits; no other string appears.  With
+    |W_N> = sum_i |1_i> / sqrt(N), the trace of |W_N><W_N| against a
+    weight-k Z string is (N - 2k) / N, and against each pair string 2 / N.
+    """
+    scale = 1.0 / (n * 2**n)
+    t = [(n - 1) / n - 2.0**-n] + [-(n - 2 * k) * scale for k in range(1, n + 1)]
+    return t, -2.0 * scale
+
+
+def _w_terms(n: int) -> list[tuple[float, PauliString]]:
+    """The nonzero Pauli terms of the W_N witness, in the order of a dense
+    Pauli expansion: qubit 0 most significant, letters in the order I, X,
+    Y, Z."""
+    t, t_xx = _w_coefficients(n)
+    terms = []
+    for z_letters in product("IZ", repeat=n):
+        k = z_letters.count("Z")
+        if 2 * k != n:
+            terms.append(("".join(z_letters), t[k]))
+        free = [q for q, c in enumerate(z_letters) if c == "I"]
+        for i, j in combinations(free, 2):
+            for letter in "XY":
+                labels = list(z_letters)
+                labels[i] = labels[j] = letter
+                terms.append(("".join(labels), t_xx))
+    return [(coeff, PauliString(labels)) for labels, coeff in sorted(terms)]
+
+
+def _count_symmetric(n: int, k: int) -> list[int]:
+    """e_k of N +-1 outcomes of which m are +1, for m = 0..N."""
+    return [
+        sum((-1) ** j * comb(n - m, j) * comb(m, k - j) for j in range(k + 1))
+        for m in range(n + 1)
+    ]
 
 
 def _w_collective_settings(n: int) -> list[MeasurementSetting]:
     """Settings that read every qubit along one shared Bloch direction.
 
     The non-identity part of the W witness, per body order k = 1..N, is
-    t_k S_k(Z) + t_xx (S_k(XX) + S_k(YY)) with t_k = -(N - 2k) / (N 2^N),
-    t_xx = -2 / (N 2^N), and S_k(P) the sum of all weight-k Pauli strings
+    t_k S_k(Z) + t_xx (S_k(XX) + S_k(YY)) with t_k and t_xx from
+    ``_w_coefficients`` and S_k(P) the sum of all weight-k Pauli strings
     carrying the letters P and Z on the rest of their support.  Reading all
     qubits along n = (sin t cos p, sin t sin p, cos t), the k-th elementary
     symmetric polynomial e_k of the +-1 outcomes estimates e_k(n . sigma).
@@ -149,19 +181,16 @@ def _w_collective_settings(n: int) -> list[MeasurementSetting]:
     tomography (Toth et al., PRL 105, 250403 (2010)) rests on the same
     reduction.
     """
+    t, t_xx = _w_coefficients(n)
     cones = (n + 1) // 2
     thetas = [0.0] + [pi / 2 * (c + 1) / (cones + 0.5) for c in range(cones)]
-    scale = 1.0 / (n * 2**n)
     tables = np.zeros((len(thetas), n + 1))  # [polar angle, count of +1]
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
     for k in range(1, n + 1):
         rows = np.array([cos_t ** (k - 2 * i) * sin_t ** (2 * i) for i in range(k // 2 + 1)])
-        target = [-(n - 2 * k) * scale, -4.0 * scale] + [0.0] * k  # t_k, 2 t_xx, 0..
+        target = [t[k], 2 * t_xx] + [0.0] * k
         weights = np.linalg.solve(rows @ rows.T, target[: len(rows)]) @ rows
-        # e_k of N outcomes of which m are +1
-        e_k = [sum((-1) ** j * comb(n - m, j) * comb(m, k - j) for j in range(k + 1))
-               for m in range(n + 1)]
-        tables += np.outer(weights, e_k)
+        tables += np.outer(weights, _count_symmetric(n, k))
     settings = [MeasurementSetting(("z",) * n, count_weights=tuple(tables[0].tolist()))]
     for theta, table in zip(thetas[1:], tables[1:] / (n + 1)):
         for j in range(n + 1):
@@ -172,64 +201,27 @@ def _w_collective_settings(n: int) -> list[MeasurementSetting]:
     return settings
 
 
-def _w3_formula_matrix() -> np.ndarray:
-    """Dense five-setting decomposition of the three-qubit W witness."""
-    ident = np.eye(2)
-    z = SIGMA["Z"]
-
-    def kron3(a, b, c):
-        return np.kron(np.kron(c, b), a)  # qubit 0 innermost
-
-    def comp(eta, sign):
-        b = ident + z + sign * SIGMA[eta]
-        return kron3(b, b, b)
-
-    m = 17.0 * np.eye(8, dtype=np.complex128)
-    m += 7.0 * kron3(z, z, z)
-    m += 3.0 * (kron3(z, ident, ident) + kron3(ident, z, ident) + kron3(ident, ident, z))
-    m += 5.0 * (kron3(z, z, ident) + kron3(z, ident, z) + kron3(ident, z, z))
-    m -= comp("X", +1) + comp("X", -1) + comp("Y", +1) + comp("Y", -1)
-    return m / 24.0
-
-
 def w3_witness_decomposed() -> WitnessOperator:
-    """The three-qubit W witness grouped into five local settings.
+    """The three-qubit W witness measured in five local settings.
 
-    One setting reads every qubit along z; the other four read all qubits
-    along (z +- x)/sqrt(2) or (z +- y)/sqrt(2), each estimating one
-    (I + sigma_z +- sigma_eta)^x3 product from the identity
-    I + sigma_z +- sigma_eta = I + sqrt(2) * m with m the measured axis.
+    Its Pauli form is 24 W = 17 I + 3 sum Z + 5 sum ZZ + 7 ZZZ
+    - sum (I + sigma_z +- sigma_eta)^x3 over eta = x, y.  One setting reads
+    every qubit along z and weighs a shot by (3 e_1 + 5 e_2 + 7 e_3) / 24 of
+    its outcomes.  The other four read all qubits along (z +- x)/sqrt(2) or
+    (z +- y)/sqrt(2) and estimate one product beyond its identity part, from
+    I + sigma_z +- sigma_eta = I + sqrt(2) m with m the measured axis: a shot
+    with m outcomes +1 weighs (1 - (1 + sqrt 2)^m (1 - sqrt 2)^(3 - m)) / 24.
     """
-    dense = _w3_formula_matrix()
-    terms = [(float(np.real(c)), p) for c, p in pauli_decompose(dense)]
-
-    supports = [
-        (),
-        (0,), (1,), (2,),
-        (0, 1), (0, 2), (1, 2),
-        (0, 1, 2),
+    e1, e2, e3 = (_count_symmetric(3, k) for k in (1, 2, 3))
+    z_table = tuple((3 * a + 5 * b + 7 * c) / 24 for a, b, c in zip(e1, e2, e3))
+    root2 = sqrt(2.0)
+    cone_table = tuple((1 - (1 + root2) ** m * (1 - root2) ** (3 - m)) / 24 for m in range(4))
+    settings = [MeasurementSetting(("z",) * 3, count_weights=z_table)]
+    settings += [
+        MeasurementSetting((basis,) * 3, count_weights=cone_table)
+        for basis in ("z+x", "z-x", "z+y", "z-y")
     ]
-    settings = [
-        MeasurementSetting(
-            bases=("z", "z", "z"),
-            shot_terms=(
-                (3 / 24, (0,)), (3 / 24, (1,)), (3 / 24, (2,)),
-                (5 / 24, (0, 1)), (5 / 24, (0, 2)), (5 / 24, (1, 2)),
-                (7 / 24, (0, 1, 2)),
-            ),
-        )
-    ]
-    root2 = float(np.sqrt(2.0))
-    for basis in ("z+x", "z-x", "z+y", "z-y"):
-        settings.append(
-            MeasurementSetting(
-                bases=(basis,) * 3,
-                shot_terms=tuple(
-                    (-(root2 ** len(sup)) / 24.0, sup) for sup in supports
-                ),
-            )
-        )
-    return WitnessOperator(terms, "W_3", 3, offset=17 / 24, settings=settings)
+    return WitnessOperator(_w_terms(3), 3, settings)
 
 
 # cluster-state witnesses --------------------------------------------------------
@@ -276,23 +268,22 @@ def cluster_stabilizers(n: int) -> StabilizerSet:
     return StabilizerSet(tuple(gens))
 
 
-def _stabilizer_products(gens: list[PauliString], n: int):
-    """All products over subsets of ``gens``; yields (subset_size, string).
+def _stabilizer_products(gens: list[PauliString], n: int) -> list[PauliString]:
+    """All products over subsets of ``gens``, the identity first.
 
     Chain stabilizers of equal parity overlap only through Z factors, so the
     products carry no phases.
     """
-    identity = PauliString("I" * n)
-    subsets = [(0, identity)]
+    products = [PauliString("I" * n)]
     for g in gens:
         new = []
-        for size, p in subsets:
+        for p in products:
             phase, prod = pauli_mul(p, g)
             if phase != 1:
                 raise ValueError("unexpected phase in stabilizer product")
-            new.append((size + 1, prod))
-        subsets += new
-    return subsets
+            new.append(prod)
+        products += new
+    return products
 
 
 def cluster_witness(n: int) -> WitnessOperator:
@@ -300,80 +291,25 @@ def cluster_witness(n: int) -> WitnessOperator:
 
     P = prod (S_k + I)/2 over the even/odd generators projects onto their
     joint +1 eigenspace; the witness detects the cluster state with value
-    -1.
+    -1.  Each projector's non-identity products carry X letters only on its
+    generators' parity of positions, so they go straight to that parity's
+    setting: x there, z elsewhere.
     """
     gens = list(cluster_stabilizers(n))
-    evens = [gens[k - 1] for k in range(2, n + 1, 2)]
-    odds = [gens[k - 1] for k in range(1, n + 1, 2)]
-
-    terms: dict[str, float] = {}
-
-    def add(coeff: float, pauli: PauliString):
-        terms[pauli.labels] = terms.get(pauli.labels, 0.0) + coeff
-
-    add(3.0, PauliString("I" * n))
-    for group in (evens, odds):
-        scale = -2.0 / (2 ** len(group))
-        for _, prod in _stabilizer_products(group, n):
-            add(scale, prod)
-
-    term_list = [
-        (coeff, PauliString(labels))
-        for labels, coeff in terms.items()
-        if abs(coeff) > 1e-15
-    ]
-
-    # the two chain patterns: x on odd or even 0-based positions, z elsewhere;
-    # each non-identity term goes to the first pattern it fits
-    patterns = [
-        tuple("x" if q % 2 == x_parity else "z" for q in range(n))
-        for x_parity in (1, 0)
-    ]
-    shot_terms = {bases: [] for bases in patterns}
-    for coeff, pauli in term_list:
-        if not pauli.is_identity():
-            bases = next(b for b in patterns if _fits(b, pauli))
-            shot_terms[bases].append((coeff, pauli.support()))
-    settings = [MeasurementSetting(b, tuple(t)) for b, t in shot_terms.items()]
-    return WitnessOperator(term_list, f"C_{n}", n, settings=settings)
+    # even generators (k = 2, 4, ...) carry X on odd 0-based positions
+    groups = [(1, gens[1::2]), (0, gens[0::2])]
+    scales = [-2.0 / (2 ** len(group)) for _, group in groups]
+    terms = [(3.0 + scales[0] + scales[1], PauliString("I" * n))]
+    settings = []
+    for (x_parity, group), scale in zip(groups, scales):
+        products = _stabilizer_products(group, n)[1:]
+        terms += [(scale, p) for p in products]
+        bases = tuple("x" if q % 2 == x_parity else "z" for q in range(n))
+        settings.append(MeasurementSetting(bases, tuple((scale, p.support()) for p in products)))
+    return WitnessOperator(terms, n, settings)
 
 
-# setting grouping ---------------------------------------------------------------
-
-
-def _fits(bases, pauli: PauliString) -> bool:
-    """True when ``bases`` reads, or leaves open (None), the axis of every
-    non-identity letter of ``pauli``."""
-    for c, b in zip(pauli.labels, bases):
-        if c != "I" and b is not None and b != c.lower():
-            return False
-    return True
-
-
-def _greedy_settings(terms, n: int) -> list[MeasurementSetting]:
-    """Assign every non-identity term to the first setting it fits, opening
-    a new setting when none does; unread qubits are read along z."""
-    slots: list[tuple[list, list]] = []  # (basis per qubit or None, shot terms)
-    for coeff, pauli in terms:
-        if pauli.is_identity():
-            continue
-        for slot in slots:
-            if _fits(slot[0], pauli):
-                break
-        else:
-            slot = ([None] * n, [])
-            slots.append(slot)
-        for q, c in enumerate(pauli.labels):
-            if c != "I":
-                slot[0][q] = c.lower()
-        slot[1].append((coeff, pauli.support()))
-    return [
-        MeasurementSetting(
-            bases=tuple(b if b is not None else "z" for b in assign),
-            shot_terms=tuple(shot),
-        )
-        for assign, shot in slots
-    ]
+# setting plan ------------------------------------------------------------------
 
 
 def group_settings(witness: WitnessOperator) -> list[MeasurementSetting]:

@@ -3,7 +3,7 @@ import pytest
 
 from phasebus.device import BiasModel, DeviceConfig, TlsParams
 from phasebus.paulis import PauliString, pauli_mul
-from phasebus.witnesses import WitnessOperator, cluster_stabilizers
+from phasebus.witnesses import MeasurementSetting, WitnessOperator, cluster_stabilizers
 
 GHZ = 2 * np.pi * 1e9
 MHZ = 2 * np.pi * 1e6
@@ -44,12 +44,18 @@ def literal_cluster_operator(n: int) -> WitnessOperator:
     """
     gens = list(cluster_stabilizers(n))
     terms = [(3.0, PauliString("I" * n))]
-    for group in (gens[1::2], gens[0::2]):
+    settings = []
+    # each product is read in its chain pattern: x where its generators
+    # carry X (odd 0-based positions for the even generators), z elsewhere
+    for x_parity, group in ((1, gens[1::2]), (0, gens[0::2])):
         prod = PauliString("I" * n)
         for g in group:
             _, prod = pauli_mul(prod, g)
-        terms.append((-2.0 / (2 ** len(group)), prod))
-    return WitnessOperator(terms, f"C_{n}", n)
+        coeff = -2.0 / (2 ** len(group))
+        terms.append((coeff, prod))
+        bases = tuple("x" if q % 2 == x_parity else "z" for q in range(n))
+        settings.append(MeasurementSetting(bases, ((coeff, prod.support()),)))
+    return WitnessOperator(terms, n, settings)
 
 
 @pytest.fixture

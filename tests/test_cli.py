@@ -186,6 +186,16 @@ class TestExitCodes:
         assert rc == 2
         assert not os.path.exists(tmp_path / "o")
 
+    @pytest.mark.parametrize("target", ["c4", "w4"])
+    def test_decomposed_only_for_w3(self, config_path, tmp_path, capsys, target):
+        rc = main(["witness", "--config", config_path, "--target", target,
+                   "--decomposed", "--out", str(tmp_path / "o")])
+        assert rc == 4
+        assert capsys.readouterr().err == (
+            "phasebus: witness: --decomposed applies to the three-qubit W witness\n"
+        )
+        assert not os.path.exists(tmp_path / "o")
+
     def test_unknown_subcommand_exits_two(self, small_config_path):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "--config", small_config_path])

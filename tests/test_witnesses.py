@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import literal_cluster_operator
-from phasebus.paulis import SIGMA, PauliString, pauli_sum_matrix
+from phasebus.paulis import SIGMA, PauliString, pauli_decompose, pauli_sum_matrix
 from phasebus.protocols import cluster_state, w_state
 from phasebus.states import StateVector
 from phasebus.witnesses import (
     BASIS_DIRECTIONS,
     StabilizerSet,
     WitnessOperator,
+    _w_terms,
     cluster_stabilizers,
     cluster_witness,
     group_settings,
@@ -71,6 +72,32 @@ def count_operator(bases, weights) -> np.ndarray:
     return total
 
 
+def w3_formula_matrix() -> np.ndarray:
+    """Dense five-setting decomposition of the three-qubit W witness,
+    24 W = 17 I + 3 sum Z + 5 sum ZZ + 7 ZZZ - sum (I + Z +- sigma_eta)^x3."""
+    ident = np.eye(2)
+    z = SIGMA["Z"]
+
+    def comp(eta, sign):
+        b = ident + z + sign * SIGMA[eta]
+        return kron_qubits([b, b, b])
+
+    m = 17.0 * np.eye(8, dtype=np.complex128)
+    m += 7.0 * kron_qubits([z, z, z])
+    m += 3.0 * (kron_qubits([z, ident, ident]) + kron_qubits([ident, z, ident])
+                + kron_qubits([ident, ident, z]))
+    m += 5.0 * (kron_qubits([z, z, ident]) + kron_qubits([z, ident, z])
+                + kron_qubits([ident, z, z]))
+    m -= comp("X", +1) + comp("X", -1) + comp("Y", +1) + comp("Y", -1)
+    return m / 24.0
+
+
+def w_projector_witness(n: int) -> np.ndarray:
+    """Dense ((N-1)/N) I - |W_N><W_N|."""
+    w = w_state(n).amplitudes
+    return ((n - 1) / n) * np.eye(2**n) - np.outer(w, w.conj())
+
+
 def plan_matrix(witness: WitnessOperator) -> np.ndarray:
     """Rebuild the witness from its estimation plan (offset + settings)."""
     n = witness.qubit_count
@@ -104,6 +131,15 @@ class TestWWitness:
             w_witness(1)
         with pytest.raises(ValueError):
             w_witness(11)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_closed_form_terms_match_dense_expansion(self, n):
+        # the closed-form term list against pauli_decompose of the dense
+        # projector: same strings in the same order, same coefficients
+        closed = _w_terms(n)
+        dense = pauli_decompose(w_projector_witness(n))
+        assert [p.labels for _, p in closed] == [p.labels for _, p in dense]
+        assert max(abs(a - b) for (a, _), (b, _) in zip(closed, dense)) < 1e-15
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_nonnegative_on_product_states(self, n):
@@ -145,12 +181,15 @@ class TestW3Decomposed:
         assert np.abs(pauli_sum_matrix(wd.terms) - wd.to_matrix()).max() < 1e-12
 
     def test_plan_rebuilds_matrix(self):
-        # a bare term list (W4's 58 terms) gets the greedy plan, which must
-        # cover every term to rebuild it
-        greedy_w4 = WitnessOperator(w_witness(4).terms, "W_4", 4)
-        assert all(s.count_weights is None for s in greedy_w4.settings)
-        for w in (w3_witness_decomposed(), greedy_w4):
-            assert np.abs(plan_matrix(w) - w.to_matrix()).max() < 1e-12
+        w = w3_witness_decomposed()
+        assert np.abs(plan_matrix(w) - w.to_matrix()).max() < 1e-12
+
+    def test_plan_matches_formula_and_projector(self):
+        # the five count tables and the closed-form offset against the dense
+        # five-setting formula and the projector form
+        rebuilt = plan_matrix(w3_witness_decomposed())
+        assert np.abs(rebuilt - w3_formula_matrix()).max() < 1e-12
+        assert np.abs(rebuilt - w_projector_witness(3)).max() < 1e-12
 
 
 def rotated_count_distribution(amps: np.ndarray, n: int, direction) -> np.ndarray:
@@ -256,7 +295,7 @@ class TestClusterWitness:
         assert patterns == ["xzxz", "zxzx"]
 
     def test_plan_rebuilds_matrix(self):
-        for n in (2, 3, 5):
+        for n in range(2, 7):
             w = cluster_witness(n)
             assert np.abs(plan_matrix(w) - w.to_matrix()).max() < 1e-12
 
@@ -272,15 +311,8 @@ class TestClusterWitness:
 
 
 class TestGroupSettings:
-    def test_single_term_single_setting(self):
-        w = WitnessOperator([(1.0, PauliString("ZZ"))], "demo", 2)
-        settings = group_settings(w)
-        assert len(settings) == 1
-        assert settings[0].bases == ("z", "z")
-
     def test_every_term_covered_and_every_qubit_assigned(self):
-        greedy_w4 = WitnessOperator(w_witness(4).terms, "W_4", 4)
-        for w in (w3_witness_decomposed(), cluster_witness(5), w_witness(4), greedy_w4):
+        for w in (w3_witness_decomposed(), cluster_witness(5), w_witness(4)):
             for s in group_settings(w):
                 assert len(s.bases) == w.qubit_count
                 for b in s.bases:

@@ -14,7 +14,7 @@ commands are:
 - the ``lab-day`` and ``w-witness`` experiment lists of
   ``bench/workloads.py``, for seeds 1 and 2
 - ``witness`` w3 ``--decomposed``, c4 and w5, each with 50 shots and
-  ``--emit-shots``; exact ``witness`` w8; exact ``tomo``;
+  ``--emit-shots``; exact ``witness`` w8 and w10; exact ``tomo``;
   ``spectroscopy --points 3``
 - every demo script
 
@@ -44,6 +44,7 @@ EXTRA = {
     "witness-c4": ["witness", "--target", "c4", "--shots", "50", "--emit-shots"],
     "witness-w5": ["witness", "--target", "w5", "--shots", "50", "--emit-shots"],
     "witness-w8-exact": ["witness", "--target", "w8"],
+    "witness-w10-exact": ["witness", "--target", "w10"],
     "tomo-exact": ["tomo", "--target", "bell:1:2"],
     "spectroscopy-3": ["spectroscopy", "--points", "3"],
 }
