@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decomposed", action="store_true",
                    help="five-setting form (w3 only)")
     p.add_argument("--shots", type=int, default=0,
-                   help="shots per setting; 0 = exact only")
+                   help="shots per setting, at least 2; 0 = exact only")
     p.add_argument("--emit-shots", action="store_true",
                    help="attach each setting's shot record (needs --shots)")
 
@@ -203,8 +203,10 @@ def _witness_preparation(args, config: DeviceConfig):
 
 def _cmd_witness(args, config: DeviceConfig) -> Report:
     _check_count("--shots", args.shots, 0)
+    if args.shots == 1:
+        raise UsageError("--shots must be 0 (exact) or at least 2 for a standard error")
     if args.emit_shots and args.shots == 0:
-        raise UsageError("--emit-shots needs --shots of at least 1")
+        raise UsageError("--emit-shots needs --shots of at least 2")
     witness, n, state = _witness_preparation(args, config)
     report = Report(
         _manifest(

@@ -150,21 +150,27 @@ def rotate_for_basis(state: StateVector, qubit: int, basis) -> StateVector:
 
 @dataclass
 class ShotRecord:
-    """Reported +-1 outcomes, one row per shot, one column per read qubit.
+    """Reported outcomes of the read qubits, one outcome pattern per shot.
 
-    In CSV form each column header is ``q{qubit}:{basis}``, the basis
-    written as its label or, for a Bloch direction, as ``{theta}/{phi}``
-    in radians with round-trip float text.
+    ``patterns[s]`` has bit m-1-k set when read qubit k (of m) reported -1
+    in shot s; ``outcomes`` unpacks them into a (shots, m) +-1 array.  In
+    CSV form each row is one shot's +-1 outcomes and each column header is
+    ``q{qubit}:{basis}``, the basis written as its label or, for a Bloch
+    direction, as ``{theta}/{phi}`` in radians with round-trip float text.
     """
 
     qubits: tuple[int, ...]
     bases: tuple
-    outcomes: np.ndarray
+    patterns: np.ndarray
     shots: int
 
     def __post_init__(self):
-        if self.outcomes.shape != (self.shots, len(self.qubits)):
-            raise ValueError("outcome array shape mismatch")
+        if self.patterns.shape != (self.shots,):
+            raise ValueError("pattern array shape mismatch")
+
+    @property
+    def outcomes(self) -> np.ndarray:
+        return _pattern_outcomes(self.patterns, len(self.qubits))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -178,6 +184,8 @@ class ShotRecord:
 
     @classmethod
     def from_csv(cls, path) -> "ShotRecord":
+        """Load a shot file; raises ``ValueError`` on an entry other than
+        +-1 or a row whose width differs from the header's."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
@@ -188,9 +196,27 @@ class ShotRecord:
                 if "/" in b:
                     b = tuple(float(a) for a in b.split("/"))
                 bases.append(b)
-            rows = [[int(v) for v in row] for row in reader]
-        arr = np.array(rows, dtype=int)
+            patterns = []
+            for line, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"line {line}: {len(row)} entries, header has {len(header)}"
+                    )
+                pattern = 0
+                for text in row:
+                    value = int(text)
+                    if value not in (1, -1):
+                        raise ValueError(f"line {line}: outcome {text!r} is not +-1")
+                    pattern = 2 * pattern + (value == -1)
+                patterns.append(pattern)
+        arr = np.array(patterns, dtype=np.int64)
         return cls(tuple(qubits), tuple(bases), arr, arr.shape[0])
+
+
+def _pattern_outcomes(patterns: np.ndarray, m: int) -> np.ndarray:
+    """(len(patterns), m) +-1 outcomes; column k is bit m-1-k."""
+    bits = (patterns[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    return 1 - 2 * bits
 
 
 def _measured_probabilities(state: StateVector, qubits) -> np.ndarray:
@@ -205,12 +231,13 @@ def _measured_probabilities(state: StateVector, qubits) -> np.ndarray:
 
 
 def _sample_true_outcomes(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Sequential conditional sampling of a joint +-1 outcome distribution.
+    """Sequential conditional sampling of a joint outcome distribution.
 
     ``probs`` has one axis per measured qubit in measurement order;
     ``uniforms`` is (shots, m).  Qubit k is drawn from P(o_k = 1 | o_1 ..
     o_{k-1}), which is exactly the bus marginal the physical transfer
-    sequence sees after collapsing the earlier reads.
+    sequence sees after collapsing the earlier reads.  Returns one outcome
+    pattern per shot, qubit k on bit m-1-k.
     """
     m = probs.ndim
     shots = uniforms.shape[0]
@@ -221,18 +248,17 @@ def _sample_true_outcomes(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray
         marginals[k] = cur
         cur = cur.sum(axis=k)
 
-    outcomes = np.zeros((shots, m), dtype=int)
-    prefix = np.zeros(shots, dtype=int)
+    prefix = np.zeros(shots, dtype=np.int64)
     for k in range(m):
         joint = marginals[k].reshape(-1, 2)  # rows indexed by outcome prefix
         denom = joint.sum(axis=1)
         safe = np.where(denom > 0, denom, 1.0)
         t = np.where(denom > 0, joint[:, 1] / safe, 0.0)
         t = np.where(t < ZERO_BRANCH_TOL, 0.0, np.where(t > 1 - ZERO_BRANCH_TOL, 1.0, t))
-        o = (uniforms[:, k] < t[prefix]).astype(int)
-        outcomes[:, k] = o
-        prefix = prefix * 2 + o
-    return outcomes
+        o = uniforms[:, k] < t[prefix]
+        prefix <<= 1
+        prefix |= o
+    return prefix
 
 
 def sample_shots(
@@ -264,12 +290,13 @@ def sample_shots(
     for q, b in zip(qubits, bases):
         rotated = rotate_for_basis(rotated, q, b)
     probs = _measured_probabilities(rotated, qubits)
-    true = _sample_true_outcomes(probs, uniforms[:, :, 0])
-    flips = (uniforms[:, :, 1] < 1.0 - readout.fidelity).astype(int)
-    reported = true ^ flips
-
-    pm = 1 - 2 * reported
-    return ShotRecord(tuple(qubits), tuple(bases), pm, shots)
+    patterns = _sample_true_outcomes(probs, uniforms[:, :, 0])
+    flips = np.zeros(shots, dtype=np.int64)
+    for k in range(m):
+        flips <<= 1
+        flips |= uniforms[:, k, 1] < 1.0 - readout.fidelity
+    patterns ^= flips
+    return ShotRecord(tuple(qubits), tuple(bases), patterns, shots)
 
 
 # witness estimation -------------------------------------------------------------
@@ -301,8 +328,8 @@ def estimate_witness_sampled(
     estimate shrinks by (2F - 1) per measured qubit and ``bias_factor``
     reports that factor.
     """
-    if shots_per_setting < 1:
-        raise ValueError("need at least one shot per setting")
+    if shots_per_setting < 2:
+        raise ValueError("need at least two shots per setting for a standard error")
     n = witness.qubit_count
     if state.num_qubits < n + 1:
         raise ValueError("prepared state smaller than the witness register")
@@ -317,10 +344,9 @@ def estimate_witness_sampled(
         record = sample_shots(
             state, qubits, setting.bases, shots_per_setting, readout, rng
         )
-        values = _shot_values(setting, record.outcomes)
-        var = float(values.var(ddof=1)) if shots_per_setting > 1 else 0.0
+        values = _value_table(setting, n)[record.patterns]
         total += float(values.mean())
-        var_total += var / shots_per_setting
+        var_total += float(values.var(ddof=1)) / shots_per_setting
         if keep_records:
             records.append(record)
     return WitnessEstimate(
@@ -332,15 +358,22 @@ def estimate_witness_sampled(
     )
 
 
-def _shot_values(setting: MeasurementSetting, outcomes: np.ndarray) -> np.ndarray:
+def _value_table(setting: MeasurementSetting, m: int) -> np.ndarray:
+    """A setting's shot value for each of the 2^m outcome patterns.
+
+    A pattern with p bits set has m - p outcomes +1; a shot term's outcome
+    product is -1 exactly when the pattern sets an odd number of the
+    term's support bits.  Terms accumulate in order, so every entry is the
+    float sum the per-shot rule gives.
+    """
+    patterns = np.arange(2**m)
     if setting.count_weights is not None:
-        return np.asarray(setting.count_weights)[(outcomes > 0).sum(axis=1)]
-    values = np.zeros(outcomes.shape[0])
+        return np.asarray(setting.count_weights)[m - np.bitwise_count(patterns)]
+    values = np.zeros(2**m)
     for coeff, support in setting.shot_terms:
-        if support:
-            values += coeff * outcomes[:, list(support)].prod(axis=1)
-        else:
-            values += coeff
+        mask = sum(1 << (m - 1 - q) for q in support)
+        odd = np.bitwise_count(patterns & mask) & 1
+        values += np.where(odd, -coeff, coeff)
     return values
 
 
@@ -403,10 +436,11 @@ def tomography_two_qubit(
                 e[a, b] *= bias**weight
     else:
         qubits = sorted((j, k))
-        col_j = qubits.index(j)
-        col_k = qubits.index(k)
-        single_j = {1: [], 2: [], 3: []}
-        single_k = {1: [], 2: [], 3: []}
+        signs = _pattern_outcomes(np.arange(4), 2)  # +-1 per pattern and column
+        sign_j = signs[:, qubits.index(j)]
+        sign_k = signs[:, qubits.index(k)]
+        sum_j = {1: 0, 2: 0, 3: 0}
+        sum_k = {1: 0, 2: 0, 3: 0}
         for a in (1, 2, 3):
             for b in (1, 2, 3):
                 rng = derive_rng(readout.seed, f"tomo-{_AXES[a]}{_AXES[b]}")
@@ -415,14 +449,13 @@ def tomography_two_qubit(
                     state, qubits, [basis_by_qubit[q] for q in qubits],
                     shots_per_setting, readout, rng,
                 )
-                o_j = record.outcomes[:, col_j]
-                o_k = record.outcomes[:, col_k]
-                e[a, b] = float((o_j * o_k).mean())
-                single_j[a].append(o_j)
-                single_k[b].append(o_k)
+                counts = np.bincount(record.patterns, minlength=4)
+                e[a, b] = int(counts @ (sign_j * sign_k)) / shots_per_setting
+                sum_j[a] += int(counts @ sign_j)
+                sum_k[b] += int(counts @ sign_k)
         for a in (1, 2, 3):
-            e[a, 0] = float(np.concatenate(single_j[a]).mean())
-            e[0, a] = float(np.concatenate(single_k[a]).mean())
+            e[a, 0] = sum_j[a] / (3 * shots_per_setting)
+            e[0, a] = sum_k[a] / (3 * shots_per_setting)
 
     rho = np.zeros((4, 4), dtype=np.complex128)
     for a in range(4):

@@ -445,10 +445,11 @@ def _correction_search(final: StateVector, target_tls: StateVector, n: int):
     """Best per-TLS phase correction diag(1, i^k) maximizing the overlap
     with bus|0> x target.
 
-    All 4^n candidates are evaluated at once: the overlap as a function of
-    the per-qubit phase choices factorizes, so each TLS axis of the overlap
-    tensor expands from (ground, excited) amplitudes to the four phased
-    combinations.
+    The overlap as a function of the per-qubit phase choices factorizes,
+    so each TLS axis of the overlap tensor expands from (ground, excited)
+    amplitudes to the four phased combinations.  The last TLS is expanded
+    one choice at a time, so at most 4^(n-1) candidates are held at once;
+    ties resolve to the first candidate in flat order.
     """
     num_tls = final.num_qubits - 1
     bus_ground = final.amplitudes[0::2]  # register amplitudes with bus in |0>
@@ -463,13 +464,18 @@ def _correction_search(final: StateVector, target_tls: StateVector, n: int):
     for _ in range(num_tls - n):
         t = t.sum(axis=0)  # spectator axes carry no correction
     expand = np.stack([np.ones(4), np.array([1.0, 1.0j, -1.0, -1.0j])], axis=1)
-    for _ in range(n):
+    for _ in range(n - 1):
         # consume the last remaining amplitude axis, prepend its choice axis;
-        # the result axes end up ordered (choice_n, ..., choice_1)
+        # the result axes end up ordered (choice_(n-1), ..., choice_1, amplitude_n)
         t = np.tensordot(expand, t, axes=([1], [n - 1]))
-    overlaps = np.abs(t) ** 2
-    flat = int(np.argmax(overlaps))
-    best = float(overlaps.reshape(-1)[flat])
+    best, flat = -np.inf, 0
+    for choice, phase in enumerate(expand[:, 1]):
+        # choice_n leads the flat order: this slice holds flat indices
+        # choice * 4^(n-1) onwards
+        overlaps = np.abs(t[..., 0] + phase * t[..., 1]) ** 2
+        i = int(np.argmax(overlaps))
+        if overlaps.flat[i] > best:
+            best, flat = float(overlaps.flat[i]), choice * overlaps.size + i
     idx = tuple(reversed(np.unravel_index(flat, (4,) * n)))
     labels = tuple(_CORRECTION_LABELS[k] for k in idx)
     return best, labels, idx

@@ -186,6 +186,17 @@ class TestExitCodes:
         assert rc == 2
         assert not os.path.exists(tmp_path / "o")
 
+    def test_single_shot_witness_is_usage_error(self, config_path, tmp_path, capsys):
+        # one shot per setting has no sample variance, so no standard error
+        rc = main(["witness", "--config", config_path, "--target", "c4",
+                   "--shots", "1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "phasebus: witness: --shots must be 0 (exact) or at least 2 "
+            "for a standard error\n"
+        )
+        assert not os.path.exists(tmp_path / "o")
+
     @pytest.mark.parametrize("target", ["c4", "w4"])
     def test_decomposed_only_for_w3(self, config_path, tmp_path, capsys, target):
         rc = main(["witness", "--config", config_path, "--target", target,

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from phasebus.device import ProtocolError
 from phasebus.measurement import (
     ReadoutModel,
     ShotRecord,
+    _value_table,
     derive_rng,
     estimate_witness_sampled,
     measure_bus,
@@ -24,6 +28,7 @@ from phasebus.protocols import (
 from phasebus.states import StateVector, basis_state
 from phasebus.witnesses import (
     cluster_witness,
+    group_settings,
     w3_witness_decomposed,
     w_witness,
 )
@@ -234,6 +239,57 @@ class TestSampleShots:
         assert back.bases == bases
         assert np.array_equal(back.outcomes, rec.outcomes)
 
+    def test_outcomes_unpack_patterns(self):
+        # bit m-1-k of a pattern is set when read qubit k reported -1
+        rec = ShotRecord((1, 2, 3), ("z", "z", "z"), np.array([0, 4, 1, 7]), 4)
+        assert rec.outcomes.tolist() == [
+            [1, 1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1],
+        ]
+
+    @pytest.mark.parametrize("entry", ["0", "2"])
+    def test_csv_rejects_entry_other_than_pm1(self, tmp_path, entry):
+        path = tmp_path / "shots.csv"
+        path.write_text(f"q1:z,q2:x\n1,-1\n{entry},1\n")
+        with pytest.raises(ValueError, match=f"line 3: outcome '{entry}' is not"):
+            ShotRecord.from_csv(path)
+
+    def test_csv_rejects_row_width_other_than_header(self, tmp_path):
+        path = tmp_path / "shots.csv"
+        path.write_text("q1:z,q2:x\n1,-1\n1,-1,1\n")
+        with pytest.raises(ValueError, match="line 3: 3 entries, header has 2"):
+            ShotRecord.from_csv(path)
+
+
+def shot_values(setting, outcomes):
+    """Oracle for ``_value_table``: apply a setting's rule shot by shot to a
+    (shots, m) array of +-1 outcomes."""
+    if setting.count_weights is not None:
+        return np.asarray(setting.count_weights)[(outcomes > 0).sum(axis=1)]
+    values = np.zeros(outcomes.shape[0])
+    for coeff, support in setting.shot_terms:
+        if support:
+            values += coeff * outcomes[:, list(support)].prod(axis=1)
+        else:
+            values += coeff
+    return values
+
+
+WITNESSES = (
+    [pytest.param(cluster_witness, n, id=f"c{n}") for n in range(2, 11)]
+    + [pytest.param(w_witness, n, id=f"w{n}") for n in range(2, 11)]
+    + [pytest.param(lambda n: w3_witness_decomposed(), 3, id="w3-decomposed")]
+)
+
+
+class TestValueTable:
+    @pytest.mark.parametrize("build,n", WITNESSES)
+    def test_table_equals_per_shot_rule(self, build, n):
+        # pattern p lists its outcomes in itertools.product order: qubit 0
+        # is the most significant bit, and a set bit reads -1
+        outcomes = np.array(list(itertools.product((1, -1), repeat=n)))
+        for setting in group_settings(build(n)):
+            assert np.array_equal(_value_table(setting, n), shot_values(setting, outcomes))
+
 
 class TestWitnessEstimation:
     def test_converges_to_exact_w3(self, config3):
@@ -300,6 +356,29 @@ class TestWitnessEstimation:
             estimate_witness_sampled(
                 run_w_protocol(config3, 3).final_state, wd, 0, ReadoutModel(1.0, 0)
             )
+
+    def test_single_shot_rejected(self, config3):
+        # one shot per setting has no sample variance, so no standard error
+        with pytest.raises(ValueError, match="at least two shots"):
+            estimate_witness_sampled(
+                run_w_protocol(config3, 3).final_state, w3_witness_decomposed(), 1,
+                ReadoutModel(1.0, 0),
+            )
+
+    def test_c10_estimate_peak_memory(self):
+        # shots travel as one outcome pattern each: the 100,000-shot c10
+        # estimate stays under 24 MiB of traced allocations (per-shot
+        # outcome matrices peaked at 62 MiB)
+        _, corr = run_cluster_protocol(simple_config(10), 10)
+        tracemalloc.start()
+        try:
+            estimate_witness_sampled(
+                corr.corrected_state, cluster_witness(10), 100000, ReadoutModel(0.96, 1)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
     def test_state_smaller_than_witness_rejected(self, config3):
         state = run_w_protocol(config3, 3).final_state  # bus + 3 TLSs

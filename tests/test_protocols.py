@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from phasebus.protocols import (
     BusExcite,
     PulseSchedule,
     ResonantWindow,
+    _correction_search,
     apply_phase_corrections,
     bus_rotation_gate,
     cluster_sequence,
@@ -313,6 +315,65 @@ class TestClusterProtocol:
         assert corr.fidelity_by_init[BUS_INIT_GROUND] < corr.fidelity_by_init[BUS_INIT_PLUS]
         # the report scores the requested variant, the search still finds plus
         assert corr.best_bus_init == BUS_INIT_PLUS
+
+
+def dense_correction_search(final, target_tls, n):
+    """Oracle for ``_correction_search``: expand every TLS axis, then take
+    the first maximum of all 4^n overlaps at once."""
+    num_tls = final.num_qubits - 1
+    target = target_tls.amplitudes
+    if num_tls > n:
+        keep = np.zeros(2 ** (num_tls - n), dtype=np.complex128)
+        keep[0] = 1.0
+        target = np.kron(keep, target)
+    t = (np.conj(target) * final.amplitudes[0::2]).reshape((2,) * num_tls)
+    for _ in range(num_tls - n):
+        t = t.sum(axis=0)
+    expand = np.stack([np.ones(4), np.array([1.0, 1.0j, -1.0, -1.0j])], axis=1)
+    for _ in range(n):
+        t = np.tensordot(expand, t, axes=([1], [n - 1]))
+    overlaps = np.abs(t) ** 2
+    flat = int(np.argmax(overlaps))
+    idx = tuple(reversed(np.unravel_index(flat, (4,) * n)))
+    labels = tuple(("I", "Z^{pi/2}", "Z^{pi}", "Z^{3pi/2}")[k] for k in idx)
+    return float(overlaps.reshape(-1)[flat]), labels, idx
+
+
+class TestCorrectionSearch:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_streamed_equals_dense(self, n):
+        rng = np.random.default_rng(100 + n)
+
+        def random_amplitudes(size):
+            return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+        # bit 0 is the bus, bit j is TLS j
+        cases = []
+        for spectators in (0, 1):
+            psi = random_amplitudes(2 ** (n + 1 + spectators))
+            cases.append((psi, StateVector(random_amplitudes(2**n))))
+        psi = random_amplitudes(2 ** (n + 1))
+        psi[1 << n:] = 0  # TLS n in |g>: its four choices tie across slices
+        psi[2::4] = psi[3::4] = 0  # TLS 1 in |g>: ties inside each slice
+        cases.append((psi, cluster_state(n)))
+        for psi, target in cases:
+            final = StateVector(psi / np.linalg.norm(psi))
+            assert _correction_search(final, target, n) == dense_correction_search(
+                final, target, n
+            )
+
+    def test_ten_qubit_protocol_peak_memory(self):
+        # the last TLS axis expands one choice at a time, so the 4^10
+        # overlap tensor is never built: under 20 MiB of traced
+        # allocations (the dense search peaked at 24 MiB)
+        cfg = simple_config(10)
+        tracemalloc.start()
+        try:
+            run_cluster_protocol(cfg, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
 
 class TestSpectatorInvariance:

@@ -13,9 +13,11 @@ commands are:
 
 - the ``lab-day`` and ``w-witness`` experiment lists of
   ``bench/workloads.py``, for seeds 1 and 2
-- ``witness`` w3 ``--decomposed``, c4 and w5, each with 50 shots and
-  ``--emit-shots``; exact ``witness`` w8 and w10; exact ``tomo``;
-  ``spectroscopy --points 3``
+- ``witness`` w3 ``--decomposed``, c4, w5 and c10, each with 50 shots and
+  ``--emit-shots``; exact ``witness`` w8 and w10; exact ``tomo`` and
+  ``tomo`` with 1000 shots; ``spectroscopy --points 3``. These run at the
+  demo readout fidelity (0.96), so report flips fire, unlike in
+  ``lab-day``, which reads out at ``--readout-f 1``
 - every demo script
 
 stderr is not compared: warnings carry source paths and line numbers.
@@ -43,9 +45,11 @@ EXTRA = {
                               "--shots", "50", "--emit-shots"],
     "witness-c4": ["witness", "--target", "c4", "--shots", "50", "--emit-shots"],
     "witness-w5": ["witness", "--target", "w5", "--shots", "50", "--emit-shots"],
+    "witness-c10": ["witness", "--target", "c10", "--shots", "50", "--emit-shots"],
     "witness-w8-exact": ["witness", "--target", "w8"],
     "witness-w10-exact": ["witness", "--target", "w10"],
     "tomo-exact": ["tomo", "--target", "bell:1:2"],
+    "tomo-1000": ["tomo", "--target", "bell:1:2", "--shots", "1000"],
     "spectroscopy-3": ["spectroscopy", "--points", "3"],
 }
 
