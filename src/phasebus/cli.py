@@ -280,11 +280,7 @@ def _cmd_spectroscopy(args, config: DeviceConfig) -> Report:
         c = min(matches, key=lambda c: abs(c.tls_frequency - tls.frequency_hz))
         rel = abs(c.splitting - tls.splitting_hz) / tls.splitting_hz
         report.add(f"tls_{tls.id}_splitting_rel_err", rel)
-    scan_rows = []
-    for i, b in enumerate(scan.bias_points):
-        for br, f in enumerate(scan.branch_frequencies[i]):
-            scan_rows.append((float(b), br, float(f)))
-    report.attach_csv("scan.csv", ["bias", "branch_index", "frequency_hz"], scan_rows)
+    report.attach_file("scan.csv", scan.to_csv)
     report.attach_csv(
         "crossings.csv",
         ["center_bias", "splitting_hz", "tls_frequency_hz"],

@@ -11,7 +11,9 @@ with a bus reset between reads.
 The sampler does not replay that sequence shot by shot: it draws the
 conditional outcome chain the sequence produces directly from the rotated
 state's Born distribution, with one uniform draw per shot and read qubit
-for the true outcome and one for the report flip.  Witness estimation and
+for the true outcome and one for the report flip.  The uniforms are drawn
+in fixed blocks of shots, so beyond one outcome pattern per shot the
+working set does not grow with the shot count.  Witness estimation and
 tomography measure copies of one prepared register state, setting by
 setting.
 """
@@ -38,6 +40,7 @@ from .witnesses import MeasurementSetting, WitnessOperator, bloch_direction, gro
 
 ZERO_BRANCH_TOL = 1e-14
 BUS_GROUND_TOL = 1e-9
+_SHOT_BLOCK = 4096  # shots per uniform draw: 640 kB of uniforms at m = 10
 
 
 def derive_rng(seed: int, label: str) -> np.random.Generator:
@@ -230,17 +233,15 @@ def _measured_probabilities(state: StateVector, qubits) -> np.ndarray:
     return p.transpose(tuple(reversed(range(p.ndim))))
 
 
-def _sample_true_outcomes(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Sequential conditional sampling of a joint outcome distribution.
+def _conditional_tables(probs: np.ndarray) -> list[np.ndarray]:
+    """P(o_k = 1 | o_1 .. o_{k-1}) for each measured qubit k.
 
-    ``probs`` has one axis per measured qubit in measurement order;
-    ``uniforms`` is (shots, m).  Qubit k is drawn from P(o_k = 1 | o_1 ..
-    o_{k-1}), which is exactly the bus marginal the physical transfer
-    sequence sees after collapsing the earlier reads.  Returns one outcome
-    pattern per shot, qubit k on bit m-1-k.
+    ``probs`` has one axis per measured qubit in measurement order; table k
+    is indexed by the outcome prefix of the first k qubits, the earliest on
+    the highest bit.  That is exactly the bus marginal the physical
+    transfer sequence sees after collapsing the earlier reads.
     """
     m = probs.ndim
-    shots = uniforms.shape[0]
     # marginals[k] = joint distribution of the first k+1 measured qubits
     marginals = [None] * m
     cur = probs
@@ -248,13 +249,26 @@ def _sample_true_outcomes(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray
         marginals[k] = cur
         cur = cur.sum(axis=k)
 
-    prefix = np.zeros(shots, dtype=np.int64)
+    tables = []
     for k in range(m):
         joint = marginals[k].reshape(-1, 2)  # rows indexed by outcome prefix
         denom = joint.sum(axis=1)
         safe = np.where(denom > 0, denom, 1.0)
         t = np.where(denom > 0, joint[:, 1] / safe, 0.0)
-        t = np.where(t < ZERO_BRANCH_TOL, 0.0, np.where(t > 1 - ZERO_BRANCH_TOL, 1.0, t))
+        t = np.where(t > 1 - ZERO_BRANCH_TOL, 1.0, t)
+        tables.append(np.where(t < ZERO_BRANCH_TOL, 0.0, t))
+    return tables
+
+
+def _sample_true_outcomes(tables: list[np.ndarray], uniforms: np.ndarray) -> np.ndarray:
+    """Sequential conditional sampling from ``_conditional_tables``.
+
+    ``uniforms`` is (shots, m); qubit k is 1 when its uniform falls below
+    its table entry for the shot's prefix.  Returns one outcome pattern per
+    shot, qubit k on bit m-1-k.
+    """
+    prefix = np.zeros(uniforms.shape[0], dtype=np.int64)
+    for k, t in enumerate(tables):
         o = uniforms[:, k] < t[prefix]
         prefix <<= 1
         prefix |= o
@@ -275,7 +289,11 @@ def sample_shots(
     measured axis per qubit, as a label or a Bloch direction (theta, phi).
     Per shot, per qubit, one uniform draw decides the true outcome and one
     the report flip, in the order a sequential transfer-and-read of the
-    qubits would consume them.
+    qubits would consume them.  The uniforms are drawn in blocks of
+    ``_SHOT_BLOCK`` shots; the generator fills consecutive blocks from the
+    same stream a single (shots, m, 2) draw would use, so the patterns do
+    not depend on the block size, and only one block of uniforms is held
+    at a time.
     """
     qubits = list(qubits)
     bases = list(bases)
@@ -284,18 +302,20 @@ def sample_shots(
     if shots < 1:
         raise ValueError("need at least one shot")
     m = len(qubits)
-    uniforms = rng.random((shots, m, 2))
 
     rotated = state
     for q, b in zip(qubits, bases):
         rotated = rotate_for_basis(rotated, q, b)
-    probs = _measured_probabilities(rotated, qubits)
-    patterns = _sample_true_outcomes(probs, uniforms[:, :, 0])
-    flips = np.zeros(shots, dtype=np.int64)
-    for k in range(m):
-        flips <<= 1
-        flips |= uniforms[:, k, 1] < 1.0 - readout.fidelity
-    patterns ^= flips
+    tables = _conditional_tables(_measured_probabilities(rotated, qubits))
+    patterns = np.empty(shots, dtype=np.int64)
+    for start in range(0, shots, _SHOT_BLOCK):
+        uniforms = rng.random((min(_SHOT_BLOCK, shots - start), m, 2))
+        block = _sample_true_outcomes(tables, uniforms[:, :, 0])
+        flips = np.zeros(len(block), dtype=np.int64)
+        for k in range(m):
+            flips <<= 1
+            flips |= uniforms[:, k, 1] < 1.0 - readout.fidelity
+        patterns[start:start + len(block)] = block ^ flips
     return ShotRecord(tuple(qubits), tuple(bases), patterns, shots)
 
 

@@ -447,9 +447,11 @@ def _correction_search(final: StateVector, target_tls: StateVector, n: int):
 
     The overlap as a function of the per-qubit phase choices factorizes,
     so each TLS axis of the overlap tensor expands from (ground, excited)
-    amplitudes to the four phased combinations.  The last TLS is expanded
-    one choice at a time, so at most 4^(n-1) candidates are held at once;
-    ties resolve to the first candidate in flat order.
+    amplitudes to the four phased combinations.  All but the last three
+    TLS axes are expanded at once; the last three are combined one choice
+    at a time, each level reusing its parent's partial sum, so at most
+    4^(n-3) candidates are scored at once, never all 4^n.  Ties resolve to
+    the first candidate in flat order.
     """
     num_tls = final.num_qubits - 1
     bus_ground = final.amplitudes[0::2]  # register amplitudes with bus in |0>
@@ -463,20 +465,35 @@ def _correction_search(final: StateVector, target_tls: StateVector, n: int):
     t = w.reshape((2,) * num_tls)  # axis 0 = highest TLS, axis -1 = TLS 1
     for _ in range(num_tls - n):
         t = t.sum(axis=0)  # spectator axes carry no correction
-    expand = np.stack([np.ones(4), np.array([1.0, 1.0j, -1.0, -1.0j])], axis=1)
-    for _ in range(n - 1):
+    phases = np.array([1.0, 1.0j, -1.0, -1.0j])
+    expand = np.stack([np.ones(4), phases], axis=1)
+    tail = min(n, 3)
+    for _ in range(n - tail):
         # consume the last remaining amplitude axis, prepend its choice axis;
-        # the result axes end up ordered (choice_(n-1), ..., choice_1, amplitude_n)
+        # the result axes end up ordered
+        # (choice_(n-tail), ..., choice_1, amplitude_n, ..., amplitude_(n-tail+1))
         t = np.tensordot(expand, t, axes=([1], [n - 1]))
-    best, flat = -np.inf, 0
-    for choice, phase in enumerate(expand[:, 1]):
-        # choice_n leads the flat order: this slice holds flat indices
-        # choice * 4^(n-1) onwards
-        overlaps = np.abs(t[..., 0] + phase * t[..., 1]) ** 2
-        i = int(np.argmax(overlaps))
-        if overlaps.flat[i] > best:
-            best, flat = float(overlaps.flat[i]), choice * overlaps.size + i
-    idx = tuple(reversed(np.unravel_index(flat, (4,) * n)))
+    best, best_flat = -np.inf, 0
+
+    def descend(u, level, flat):
+        # level l consumes the amplitude axis of TLS n-tail+1+l, whose
+        # choice weighs 4^(n-tail+l) in the flat order (choice_n leads)
+        nonlocal best, best_flat
+        for choice, phase in enumerate(phases):
+            # multiplying by a power of i is exact: the floats tensordot gives
+            v = u[..., 0] + phase * u[..., 1]
+            at = flat + choice * 4 ** (n - tail + level)
+            if level + 1 < tail:
+                descend(v, level + 1, at)
+                continue
+            overlaps = np.abs(v) ** 2
+            i = int(np.argmax(overlaps))
+            value = float(overlaps.flat[i])
+            if (value, -(at + i)) > (best, -best_flat):
+                best, best_flat = value, at + i
+
+    descend(t, 0, 0)
+    idx = tuple(reversed(np.unravel_index(best_flat, (4,) * n)))
     labels = tuple(_CORRECTION_LABELS[k] for k in idx)
     return best, labels, idx
 

@@ -51,6 +51,16 @@ class SpectroscopyScan:
     def num_branches(self) -> int:
         return self.branch_frequencies.shape[1]
 
+    def to_csv(self, path) -> None:
+        """One ``bias,branch_index,frequency_hz`` row per bias point and
+        branch, floats as round-trip text, CRLF line ends (csv's default),
+        written row by row."""
+        with open(path, "w", newline="") as fh:
+            fh.write("bias,branch_index,frequency_hz\r\n")
+            rows = zip(self.bias_points.tolist(), self.branch_frequencies.tolist())
+            for b, freqs in rows:
+                fh.writelines(f"{b!r},{br},{f!r}\r\n" for br, f in enumerate(freqs))
+
 
 @dataclass(frozen=True)
 class AvoidedCrossing:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from phasebus.witnesses import MeasurementSetting, WitnessOperator, cluster_stab
 
 GHZ = 2 * np.pi * 1e9
 MHZ = 2 * np.pi * 1e6
+DEMO_CONFIG = str(Path(__file__).resolve().parent.parent / "demos" / "device_config.json")
 
 
 def simple_config(num_tls: int, readout_fidelity: float = 1.0) -> DeviceConfig:

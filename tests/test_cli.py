@@ -11,6 +11,8 @@ from phasebus.config_io import example_config_dict, load_config, parse_config
 from phasebus.device import ConfigError
 from phasebus.measurement import ReadoutModel, ShotRecord, estimate_witness_sampled
 from phasebus.protocols import run_w_protocol
+from phasebus.reporting import fmt
+from phasebus.spectroscopy import default_bias_grid, synth_spectroscopy
 from phasebus.witnesses import w3_witness_decomposed
 
 
@@ -349,6 +351,27 @@ class TestSpectroscopyCommand:
         ]
         assert rel_errs and max(rel_errs) < 0.05
         assert not any(m.endswith("_unmatched") for m in rows)
+
+    @pytest.mark.filterwarnings("ignore:gap minimum at scan edge")
+    @pytest.mark.filterwarnings("ignore:crossings at bias")
+    @pytest.mark.parametrize("points", [3, 50])
+    def test_streamed_scan_csv_equals_csv_writer(self, config_path, tmp_path, points):
+        # oracle: the scan rows collected as Python values, then written
+        # with csv.writer and the report's fmt, as the report's own CSV
+        # attachments are
+        out = tmp_path / "spec"
+        assert main(["spectroscopy", "--config", config_path, "--points", str(points),
+                     "--out", str(out)]) == 0
+        config = load_config(config_path)
+        scan = synth_spectroscopy(config, default_bias_grid(config, points))
+        oracle = tmp_path / "oracle.csv"
+        with open(oracle, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["bias", "branch_index", "frequency_hz"])
+            for i, b in enumerate(scan.bias_points):
+                for br, f in enumerate(scan.branch_frequencies[i]):
+                    writer.writerow([fmt(v) for v in (float(b), br, float(f))])
+        assert (out / "scan.csv").read_bytes() == oracle.read_bytes()
 
     @pytest.mark.filterwarnings("ignore:gap minimum at scan edge")
     @pytest.mark.filterwarnings("ignore:crossings at bias")

@@ -1,5 +1,4 @@
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +6,10 @@ import pytest
 from conftest import simple_config
 from phasebus.device import ProtocolError
 from phasebus.measurement import (
+    _SHOT_BLOCK,
     ReadoutModel,
     ShotRecord,
+    _measured_probabilities,
     _value_table,
     derive_rng,
     estimate_witness_sampled,
@@ -183,7 +184,50 @@ def physical_shots(state, qubits, bases, shots, config, readout, rng):
     return 1 - 2 * reported
 
 
+def one_draw_shots(state, qubits, bases, shots, readout, rng):
+    """Oracle for the blocked uniform draw of ``sample_shots``: every
+    uniform in one (shots, m, 2) draw, the conditional chain walked over
+    all shots at once.  Returns the reported outcome patterns."""
+    m = len(qubits)
+    uniforms = rng.random((shots, m, 2))
+    for q, b in zip(qubits, bases):
+        state = rotate_for_basis(state, q, b)
+    marginals = [_measured_probabilities(state, qubits)]
+    for k in range(m - 1, 0, -1):
+        marginals.insert(0, marginals[0].sum(axis=k))
+    prefix = np.zeros(shots, dtype=np.int64)
+    for k in range(m):
+        joint = marginals[k].reshape(-1, 2)
+        denom = joint.sum(axis=1)
+        t = np.where(denom > 0, joint[:, 1] / np.where(denom > 0, denom, 1.0), 0.0)
+        t = np.where(t < 1e-14, 0.0, np.where(t > 1 - 1e-14, 1.0, t))
+        prefix = (prefix << 1) | (uniforms[:, k, 0] < t[prefix])
+    flips = np.zeros(shots, dtype=np.int64)
+    for k in range(m):
+        flips = (flips << 1) | (uniforms[:, k, 1] < 1.0 - readout.fidelity)
+    return prefix ^ flips
+
+
+BLOCK_EDGE_SHOTS = [2, _SHOT_BLOCK - 1, _SHOT_BLOCK, _SHOT_BLOCK + 1, 3 * _SHOT_BLOCK + 7]
+READ_QUBITS = {1: [3], 2: [2, 5], 3: [1, 4, 7], 10: list(range(1, 11))}
+MIXED_BASES = ("z", "x", "z+y", (0.7, 2.1), "y", "z-x", (2.5, -1.0), "z+x", "z-y", "x")
+
+
 class TestSampleShots:
+    @pytest.mark.parametrize("fidelity", [1.0, 0.96])
+    @pytest.mark.parametrize("m", sorted(READ_QUBITS))
+    @pytest.mark.parametrize("shots", BLOCK_EDGE_SHOTS)
+    def test_blocked_draw_equals_one_draw(self, shots, m, fidelity):
+        rng = np.random.default_rng(1000 * m + shots)
+        psi = rng.normal(size=2**11) + 1j * rng.normal(size=2**11)  # bus + 10 TLSs
+        state = StateVector(psi / np.linalg.norm(psi))
+        qubits, bases = READ_QUBITS[m], MIXED_BASES[:m]
+        ro = ReadoutModel(fidelity, seed=16)
+        rec = sample_shots(state, qubits, bases, shots, ro, derive_rng(m, "blocks"))
+        oracle = one_draw_shots(state, qubits, bases, shots, ro, derive_rng(m, "blocks"))
+        assert rec.patterns.dtype == oracle.dtype
+        assert np.array_equal(rec.patterns, oracle)
+
     def test_fast_and_physical_agree_bitwise(self, config3):
         state = run_w_protocol(config3, 3).final_state
         ro = ReadoutModel(0.96, seed=11)
@@ -364,21 +408,6 @@ class TestWitnessEstimation:
                 run_w_protocol(config3, 3).final_state, w3_witness_decomposed(), 1,
                 ReadoutModel(1.0, 0),
             )
-
-    def test_c10_estimate_peak_memory(self):
-        # shots travel as one outcome pattern each: the 100,000-shot c10
-        # estimate stays under 24 MiB of traced allocations (per-shot
-        # outcome matrices peaked at 62 MiB)
-        _, corr = run_cluster_protocol(simple_config(10), 10)
-        tracemalloc.start()
-        try:
-            estimate_witness_sampled(
-                corr.corrected_state, cluster_witness(10), 100000, ReadoutModel(0.96, 1)
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 24 * 2**20
 
     def test_state_smaller_than_witness_rejected(self, config3):
         state = run_w_protocol(config3, 3).final_state  # bus + 3 TLSs

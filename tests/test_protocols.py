@@ -1,10 +1,10 @@
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import simple_config
+from conftest import DEMO_CONFIG, simple_config
+from phasebus.config_io import load_config
 from phasebus.device import ProtocolError, iswap
 from phasebus.protocols import (
     BUS_INIT_GROUND,
@@ -339,7 +339,89 @@ def dense_correction_search(final, target_tls, n):
     return float(overlaps.reshape(-1)[flat]), labels, idx
 
 
+def brute_force_correction_search(final, target_tls, n):
+    """Oracle for ``_correction_search``: score each of the 4^n choices
+    directly.  Choice c gives TLS j the phase i^(c_j) on |e>, so its
+    overlap is sum_k w_k i^(sum_j c_j b_j(k)) over the register amplitudes
+    w_k with the bus in |0> and every spectator TLS in |g>; the phase
+    matrices hold exact powers of i.  The TLSs split into a low and a high
+    half, so every overlap is one entry of P_high @ W @ P_low^T, rows and
+    columns in flat order (choice of TLS n most significant).  Returns the
+    first maximum in flat order."""
+    w = np.conj(target_tls.amplitudes) * final.amplitudes[0::2][: 2**n]
+    low = n // 2
+
+    def phase_matrix(count):
+        digits = (np.arange(4**count)[:, None] // 4 ** np.arange(count)) % 4
+        bits = (np.arange(2**count)[:, None] >> np.arange(count)) & 1
+        return np.array([1, 1j, -1, -1j])[(digits @ bits.T) % 4]
+
+    overlaps = np.abs(
+        phase_matrix(n - low) @ w.reshape(2 ** (n - low), 2**low) @ phase_matrix(low).T
+    ) ** 2
+    flat = int(np.argmax(overlaps))
+    idx = tuple(int(d) for d in reversed(np.unravel_index(flat, (4,) * n)))
+    labels = tuple(("I", "Z^{pi/2}", "Z^{pi}", "Z^{3pi/2}")[k] for k in idx)
+    return float(overlaps.flat[flat]), labels, idx
+
+
+def assert_matches_brute_force(final, target, n):
+    best, labels, idx = _correction_search(final, target, n)
+    oracle_best, oracle_labels, oracle_idx = brute_force_correction_search(final, target, n)
+    assert (labels, idx) == (oracle_labels, oracle_idx)
+    assert best == pytest.approx(oracle_best, abs=1e-12)
+
+
 class TestCorrectionSearch:
+    @pytest.mark.parametrize("spectators", [0, 1, 2])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_random_states_match_brute_force(self, n, spectators):
+        rng = np.random.default_rng(200 + 10 * n + spectators)
+        for _ in range(3):
+            size = 2 ** (n + 1 + spectators)
+            psi = rng.normal(size=size) + 1j * rng.normal(size=size)
+            target = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            assert_matches_brute_force(
+                StateVector(psi / np.linalg.norm(psi)),
+                StateVector(target / np.linalg.norm(target)),
+                n,
+            )
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_all_ground_ties_resolve_to_identity(self, n):
+        # no TLS excited: all 4^n candidates score the same float, and the
+        # first in flat order, no correction at all, must win
+        final = basis_state("0" + "g" * n)
+        best, labels, idx = _correction_search(final, cluster_state(n), n)
+        assert idx == (0,) * n and labels == ("I",) * n
+        assert best == pytest.approx(2.0**-n, rel=1e-12)
+        assert_matches_brute_force(final, cluster_state(n), n)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_ties_across_levels_resolve_in_flat_order(self, n):
+        # TLS n-2 and TLS n share (|gg> - i|ee>)/sqrt(2), every other TLS
+        # sits in |g>: a candidate's overlap depends on c_(n-2) + c_n mod 4
+        # only, and the four pairs with sum 1 tie exactly.  TLS n's choice
+        # leads the flat order, so (c_(n-2), c_n) = (1, 0) must win over
+        # (0, 1), which a search visiting TLS n-2's choices first meets first
+        psi = np.zeros(2 ** (n + 1), dtype=np.complex128)
+        psi[0], psi[(1 << (n - 2)) | (1 << n)] = 1 / np.sqrt(2), -1j / np.sqrt(2)
+        final = StateVector(psi)
+        target = StateVector(np.full(2**n, 2.0 ** (-n / 2), dtype=np.complex128))
+        _, _, idx = _correction_search(final, target, n)
+        assert idx == tuple(1 if j == n - 2 else 0 for j in range(1, n + 1))
+        assert_matches_brute_force(final, target, n)
+
+    @pytest.mark.parametrize("variant", [BUS_INIT_GROUND, BUS_INIT_PLUS])
+    def test_demo_chain_matches_brute_force_and_dense(self, variant):
+        config = load_config(DEMO_CONFIG)
+        final = execute_schedule(cluster_sequence(config, 10, variant), config)
+        target = cluster_state(10)
+        assert_matches_brute_force(final, target, 10)
+        assert _correction_search(final, target, 10) == dense_correction_search(
+            final, target, 10
+        )
+
     @pytest.mark.parametrize("n", range(2, 8))
     def test_streamed_equals_dense(self, n):
         rng = np.random.default_rng(100 + n)
@@ -361,19 +443,6 @@ class TestCorrectionSearch:
             assert _correction_search(final, target, n) == dense_correction_search(
                 final, target, n
             )
-
-    def test_ten_qubit_protocol_peak_memory(self):
-        # the last TLS axis expands one choice at a time, so the 4^10
-        # overlap tensor is never built: under 20 MiB of traced
-        # allocations (the dense search peaked at 24 MiB)
-        cfg = simple_config(10)
-        tracemalloc.start()
-        try:
-            run_cluster_protocol(cfg, 10)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20 * 2**20
 
 
 class TestSpectatorInvariance:

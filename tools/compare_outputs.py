@@ -18,6 +18,9 @@ commands are:
   ``tomo`` with 1000 shots; ``spectroscopy --points 3``. These run at the
   demo readout fidelity (0.96), so report flips fire, unlike in
   ``lab-day``, which reads out at ``--readout-f 1``
+- at the same fidelity, shot counts that cross the sampler's uniform-draw
+  blocks of 4,096 shots: ``witness`` c4 with 3 * 4096 + 7 shots and
+  ``--emit-shots``, and ``tomo`` with 4096 + 1 shots
 - every demo script
 
 stderr is not compared: warnings carry source paths and line numbers.
@@ -51,6 +54,8 @@ EXTRA = {
     "tomo-exact": ["tomo", "--target", "bell:1:2"],
     "tomo-1000": ["tomo", "--target", "bell:1:2", "--shots", "1000"],
     "spectroscopy-3": ["spectroscopy", "--points", "3"],
+    "witness-c4-blocks": ["witness", "--target", "c4", "--shots", "12295", "--emit-shots"],
+    "tomo-blocks": ["tomo", "--target", "bell:1:2", "--shots", "4097"],
 }
 
 
