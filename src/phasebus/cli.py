@@ -16,26 +16,11 @@ import sys
 import numpy as np
 
 from .config_io import load_config
-from .device import ConfigError, DeviceConfig, ProtocolError, rwa_infidelity
-from .measurement import ReadoutModel, estimate_witness_sampled, tomography_two_qubit
-from .protocols import (
-    run_bell,
-    run_cluster_protocol,
-    run_w_protocol,
-    tls_register_state,
-)
+from .device import ConfigError, DeviceConfig, ProtocolError
 from .reporting import Report, emit_report
-from .spectroscopy import default_bias_grid, extract_tls_parameters, synth_spectroscopy
-from .states import StateVector, expectation, partial_trace
-from .witnesses import (
-    cluster_stabilizers,
-    cluster_witness,
-    group_settings,
-    w3_witness_decomposed,
-    w_witness,
-    witness_to_csv,
-    witness_value_exact,
-)
+
+# Each command handler imports the layers it runs, so a process compiles
+# and executes only those modules.
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,6 +114,9 @@ def _manifest(args, extra: dict) -> dict:
 
 
 def _cmd_w_state(args, config: DeviceConfig) -> Report:
+    from .protocols import run_w_protocol
+    from .states import partial_trace
+
     rep = run_w_protocol(config, args.n, args.mode)
     report = Report(_manifest(args, {"n": args.n, "mode": args.mode}))
     report.add("target_fidelity", rep.target_fidelity)
@@ -147,6 +135,9 @@ def _cmd_w_state(args, config: DeviceConfig) -> Report:
 
 
 def _cmd_bell(args, config: DeviceConfig) -> Report:
+    from .protocols import run_bell
+    from .states import partial_trace
+
     j, k = _parse_pair(args.target)
     rep = run_bell(config, j, k)
     report = Report(_manifest(args, {"target": args.target}))
@@ -159,6 +150,10 @@ def _cmd_bell(args, config: DeviceConfig) -> Report:
 
 
 def _cmd_cluster(args, config: DeviceConfig) -> Report:
+    from .protocols import run_cluster_protocol, tls_register_state
+    from .states import expectation
+    from .witnesses import cluster_stabilizers
+
     rep, corr = run_cluster_protocol(config, args.n, args.bus_init)
     report = Report(
         _manifest(
@@ -188,6 +183,9 @@ def _cmd_cluster(args, config: DeviceConfig) -> Report:
 
 
 def _witness_preparation(args, config: DeviceConfig):
+    from .protocols import run_cluster_protocol, run_w_protocol
+    from .witnesses import cluster_witness, w3_witness_decomposed, w_witness
+
     kind, n = _parse_witness_target(args.target)
     if args.decomposed and (kind, n) != ("w", 3):
         raise ProtocolError("--decomposed applies to the three-qubit W witness")
@@ -202,6 +200,9 @@ def _witness_preparation(args, config: DeviceConfig):
 
 
 def _cmd_witness(args, config: DeviceConfig) -> Report:
+    from .protocols import tls_register_state
+    from .witnesses import group_settings, witness_to_csv, witness_value_exact
+
     _check_count("--shots", args.shots, 0)
     if args.shots == 1:
         raise UsageError("--shots must be 0 (exact) or at least 2 for a standard error")
@@ -220,6 +221,8 @@ def _cmd_witness(args, config: DeviceConfig) -> Report:
     settings = group_settings(witness)
     report.add("settings", len(settings), units="count")
     if args.shots > 0:
+        from .measurement import ReadoutModel, estimate_witness_sampled
+
         readout = ReadoutModel(config.readout_fidelity, args.seed)
         est = estimate_witness_sampled(
             state, witness, args.shots, readout, keep_records=args.emit_shots
@@ -234,6 +237,10 @@ def _cmd_witness(args, config: DeviceConfig) -> Report:
 
 
 def _cmd_tomo(args, config: DeviceConfig) -> Report:
+    from .measurement import ReadoutModel, tomography_two_qubit
+    from .protocols import run_bell
+    from .states import StateVector
+
     _check_count("--shots", args.shots, 0)
     j, k = _parse_pair(args.target)
     target = StateVector(np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2))
@@ -258,6 +265,10 @@ def _cmd_tomo(args, config: DeviceConfig) -> Report:
 
 
 def _cmd_spectroscopy(args, config: DeviceConfig) -> Report:
+    from .spectroscopy import (
+        default_bias_grid, extract_tls_parameters, synth_spectroscopy,
+    )
+
     _check_count("--points", args.points, 3)  # a crossing needs a three-point bracket
     grid = default_bias_grid(config, args.points)
     scan = synth_spectroscopy(config, grid)
@@ -290,6 +301,8 @@ def _cmd_spectroscopy(args, config: DeviceConfig) -> Report:
 
 
 def _cmd_rwa_check(args, config: DeviceConfig) -> Report:
+    from .device import rwa_infidelity
+
     report = Report(_manifest(args, {"tls": args.tls}))
     targets = (
         [(args.tls, config.tls_params(args.tls))]

@@ -176,6 +176,7 @@ class ShotRecord:
         return _pattern_outcomes(self.patterns, len(self.qubits))
 
     def to_csv(self, path) -> None:
+        m = len(self.qubits)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             header = []
@@ -183,7 +184,13 @@ class ShotRecord:
                 text = b if isinstance(b, str) else f"{float(b[0])!r}/{float(b[1])!r}"
                 header.append(f"q{q}:{text}")
             writer.writerow(header)
-            writer.writerows(self.outcomes.tolist())
+            # the row text of every pattern, as the writer formats it
+            end = writer.dialect.lineterminator
+            rows = [",".join(map(str, r)) + end
+                    for r in _pattern_outcomes(np.arange(2**m), m).tolist()]
+            for start in range(0, self.shots, _SHOT_BLOCK):
+                block = self.patterns[start : start + _SHOT_BLOCK].tolist()
+                fh.write("".join(map(rows.__getitem__, block)))
 
     @classmethod
     def from_csv(cls, path) -> "ShotRecord":

@@ -80,12 +80,15 @@ class WitnessOperator:
 
     ``settings`` and ``offset`` are its estimation plan: every non-identity
     term is owned by one setting, and the offset is the identity
-    coefficient, which no setting owns.
+    coefficient, which no setting owns.  ``projector``, when given, is
+    (c, phi) for a witness equal to c I - |phi><phi|, whose exact value then
+    takes one overlap.
     """
 
     terms: list[tuple[float, PauliString]]
     qubit_count: int
     settings: list[MeasurementSetting]
+    projector: tuple[float, StateVector] | None = None
     offset: float = field(init=False)
 
     def __post_init__(self):
@@ -101,9 +104,13 @@ class WitnessOperator:
 
 
 def witness_value_exact(state: StateVector, witness: WitnessOperator) -> float:
-    """<psi|W|psi>, exact, evaluated term by term."""
+    """<psi|W|psi>, exact: c - |<phi|psi>|^2 for a projector witness
+    c I - |phi><phi|, otherwise evaluated term by term."""
     if state.num_qubits != witness.qubit_count:
         raise ValueError("state and witness dimensions differ")
+    if witness.projector is not None:
+        level, target = witness.projector
+        return float(level - abs(np.vdot(target.amplitudes, state.amplitudes)) ** 2)
     return expectation(state, witness.terms)
 
 
@@ -115,7 +122,14 @@ def w_witness(n: int) -> WitnessOperator:
     the collective plan of ``_w_collective_settings``."""
     if not 2 <= n <= 10:
         raise ValueError("W witness supports 2..10 qubits")
-    return WitnessOperator(_w_terms(n), n, _w_collective_settings(n))
+    return WitnessOperator(_w_terms(n), n, _w_collective_settings(n), _w_projector(n))
+
+
+def _w_projector(n: int) -> tuple[float, StateVector]:
+    """((N-1)/N, |W_N>), |W_N> = sum_i |1_i> / sqrt(N)."""
+    amplitudes = np.zeros(2**n, dtype=complex)
+    amplitudes[1 << np.arange(n)] = 1.0 / sqrt(n)
+    return (n - 1) / n, StateVector(amplitudes)
 
 
 def _w_coefficients(n: int) -> tuple[list[float], float]:
@@ -221,7 +235,7 @@ def w3_witness_decomposed() -> WitnessOperator:
         MeasurementSetting((basis,) * 3, count_weights=cone_table)
         for basis in ("z+x", "z-x", "z+y", "z-y")
     ]
-    return WitnessOperator(_w_terms(3), 3, settings)
+    return WitnessOperator(_w_terms(3), 3, settings, _w_projector(3))
 
 
 # cluster-state witnesses --------------------------------------------------------

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 
 import numpy as np
@@ -282,6 +284,20 @@ class TestSampleShots:
         assert back.qubits == rec.qubits
         assert back.bases == bases
         assert np.array_equal(back.outcomes, rec.outcomes)
+
+    def test_csv_rows_match_csv_writer_across_blocks(self, tmp_path):
+        # the streamed rows are byte for byte what csv.writer makes of the
+        # unpacked outcomes, also past a 4,096-shot block boundary
+        rng = np.random.default_rng(16)
+        shots = 2 * 4096 + 3
+        rec = ShotRecord((1, 2, 3), ("z", "x", "y"), rng.integers(0, 8, shots), shots)
+        path = tmp_path / "shots.csv"
+        rec.to_csv(path)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["q1:z", "q2:x", "q3:y"])
+        writer.writerows(rec.outcomes.tolist())
+        assert path.read_bytes() == expected.getvalue().encode()
 
     def test_outcomes_unpack_patterns(self):
         # bit m-1-k of a pattern is set when read qubit k reported -1

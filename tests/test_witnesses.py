@@ -6,7 +6,7 @@ import pytest
 from conftest import literal_cluster_operator
 from phasebus.paulis import SIGMA, PauliString, pauli_decompose, pauli_sum_matrix
 from phasebus.protocols import cluster_state, w_state
-from phasebus.states import StateVector
+from phasebus.states import StateVector, expectation
 from phasebus.witnesses import (
     BASIS_DIRECTIONS,
     StabilizerSet,
@@ -238,7 +238,7 @@ class TestWCollectivePlan:
                 direction = (0.0, 0.0) if s.bases[0] == "z" else s.bases[0]
                 dist = rotated_count_distribution(state.amplitudes, n, direction)
                 value += float(dist @ np.asarray(s.count_weights))
-            assert value == pytest.approx(witness_value_exact(state, w), abs=1e-12)
+            assert value == pytest.approx(expectation(state, w.terms), abs=1e-12)
 
 
 class TestClusterStabilizers:
@@ -258,8 +258,6 @@ class TestClusterStabilizers:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_cluster_state_is_plus_one_eigenstate(self, n):
-        from phasebus.states import expectation
-
         state = cluster_state(n)
         for gen in cluster_stabilizers(n):
             assert expectation(state, gen) == pytest.approx(1.0, abs=1e-10)
@@ -335,6 +333,21 @@ class TestWitnessValueExact:
                 by_terms = witness_value_exact(s, w)
                 by_dense = float(np.real(np.vdot(v, dense @ v)))
                 assert by_terms == pytest.approx(by_dense, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "witness",
+        [w_witness(n) for n in range(2, 11)] + [w3_witness_decomposed()],
+        ids=[f"w{n}" for n in range(2, 11)] + ["w3-decomposed"],
+    )
+    def test_w_overlap_matches_term_sum(self, witness):
+        # the term-by-term sum is the oracle for the one-overlap value
+        n = witness.qubit_count
+        rng = np.random.default_rng(700 + n)
+        random = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        for state in (w_state(n), StateVector(random / np.linalg.norm(random)),
+                      random_product_state(rng, n)):
+            by_overlap = witness_value_exact(state, witness)
+            assert by_overlap == pytest.approx(expectation(state, witness.terms), abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,13 @@
 """Traced-allocation bounds on the paths that set the peak memory of the
 demo's everyday commands: the ten-TLS cluster correction search, the
-100,000-shot c10 witness estimate and the 2,000-point spectroscopy report.
+100,000-shot c10 witness estimate, the same estimate writing its shot
+files, and the 2,000-point spectroscopy report.
 
 Each bound sits between the measured peak of the bounded working set
-(4.3, 4.3 and 2.4 MiB) and that of the whole-array code it replaced (16.1,
-19.3 and 5.0 MiB), so building the 4^n overlap tensor, drawing every
-uniform at once or collecting the scan rows as Python lists fails here.
+(4.3, 4.3, 4.3 and 2.4 MiB) and that of the whole-array code it replaced
+(16.1, 19.3, 24.8 and 5.0 MiB), so building the 4^n overlap tensor,
+drawing every uniform at once, unpacking every shot's outcomes before
+writing them or collecting the scan rows as Python lists fails here.
 """
 
 import tracemalloc
@@ -47,6 +49,14 @@ def test_c10_estimate_at_100000_shots(demo):
         lambda: estimate_witness_sampled(state, witness, 100000, ReadoutModel(0.96, 1))
     )
     assert peak < 8 * MIB
+
+
+def test_c10_shot_files_at_100000_shots(tmp_path):
+    argv = ["witness", "--target", "c10", "--shots", "100000", "--emit-shots",
+            "--config", DEMO_CONFIG, "--out", str(tmp_path)]
+    codes = []
+    assert traced_peak(lambda: codes.append(main(argv))) < 8 * MIB
+    assert codes == [0]
 
 
 @pytest.mark.filterwarnings("ignore:gap minimum at scan edge")

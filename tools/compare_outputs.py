@@ -21,6 +21,11 @@ commands are:
 - at the same fidelity, shot counts that cross the sampler's uniform-draw
   blocks of 4,096 shots: ``witness`` c4 with 3 * 4096 + 7 shots and
   ``--emit-shots``, and ``tomo`` with 4096 + 1 shots
+- every command the lists above leave out, since each command handler
+  imports its own layers: ``rwa-check --tls 1``, ``w-state --n 3 --mode
+  paper-n3``, ``cluster --n 4 --bus-init ground`` and exact ``witness`` c4;
+  and the error exits of ``witness`` c4 with ``--decomposed`` (4) or
+  ``--shots 1`` (2), and of ``bell --target bell:1`` (2)
 - every demo script
 
 stderr is not compared: warnings carry source paths and line numbers.
@@ -56,6 +61,13 @@ EXTRA = {
     "spectroscopy-3": ["spectroscopy", "--points", "3"],
     "witness-c4-blocks": ["witness", "--target", "c4", "--shots", "12295", "--emit-shots"],
     "tomo-blocks": ["tomo", "--target", "bell:1:2", "--shots", "4097"],
+    "rwa-check-1": ["rwa-check", "--tls", "1"],
+    "w-state-3-paper": ["w-state", "--n", "3", "--mode", "paper-n3"],
+    "cluster-4-ground": ["cluster", "--n", "4", "--bus-init", "ground"],
+    "witness-c4-exact": ["witness", "--target", "c4"],
+    "witness-c4-decomposed": ["witness", "--target", "c4", "--decomposed"],
+    "witness-c4-one-shot": ["witness", "--target", "c4", "--shots", "1"],
+    "bell-malformed": ["bell", "--target", "bell:1"],
 }
 
 
