@@ -32,7 +32,6 @@ _SUBMODULE_EXPORTS = {
         "derive_rng",
         "estimate_witness_sampled",
         "measure_bus",
-        "read_tls",
         "rotate_for_basis",
         "sample_shots",
         "tomography_two_qubit",

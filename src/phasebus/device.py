@@ -65,11 +65,9 @@ class BiasModel:
     """
 
     omega_p0: float
-    critical_current: float = 1.0
 
     def __post_init__(self):
-        params = (self.omega_p0, self.critical_current)
-        if not all(np.isfinite(v) and v > 0 for v in params):
+        if not (np.isfinite(self.omega_p0) and self.omega_p0 > 0):
             raise ConfigError("bias model parameters must be positive and finite")
 
 

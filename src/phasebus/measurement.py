@@ -1,6 +1,6 @@
-"""Experiment-facing measurement: bus readout with finite fidelity, TLS
-readout by excitation transfer, basis pre-rotation, shot sampling, sampled
-witness estimation and two-qubit state tomography.
+"""Experiment-facing measurement: bus readout with finite fidelity, basis
+pre-rotation, sampling of the TLS readout chain, sampled witness
+estimation and two-qubit state tomography.
 
 Only the bus is ever measured.  Reading TLS j means a full swap window (its
 excitation moves to the bus, up to a known -i transfer phase) followed by a
@@ -26,20 +26,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import DeviceConfig, ProtocolError, iswap
+from .device import ProtocolError
 from .paulis import SIGMA, PauliString
 from .states import (
     DensityMatrix,
     StateVector,
+    _measured_probabilities,
     apply_unitary,
-    excited_population,
     expectation,
+    join_qubit_rows,
+    qubit_rows,
     state_dm_fidelity,
 )
 from .witnesses import MeasurementSetting, WitnessOperator, bloch_direction, group_settings
 
 ZERO_BRANCH_TOL = 1e-14
-BUS_GROUND_TOL = 1e-9
 _SHOT_BLOCK = 4096  # shots per uniform draw: 640 kB of uniforms at m = 10
 
 
@@ -69,69 +70,29 @@ class ReadoutModel:
         return 2.0 * self.fidelity - 1.0
 
 
-def _collapse(state: StateVector, qubit: int, outcome: int) -> StateVector:
-    n = state.num_qubits
-    psi = state.amplitudes.reshape((2,) * n)
-    rows = np.moveaxis(psi, n - 1 - qubit, 0)
-    out = np.zeros_like(rows)
-    branch = rows[outcome]
-    out[outcome] = branch / np.linalg.norm(branch)
-    out = np.moveaxis(out, 0, n - 1 - qubit)
-    return StateVector(np.ascontiguousarray(out).reshape(-1))
-
-
-def measure_bus(
-    state: StateVector,
-    readout: ReadoutModel,
-    _u_true: float | None = None,
-    _u_flip: float | None = None,
-) -> tuple[int, StateVector]:
+def measure_bus(state: StateVector, readout: ReadoutModel) -> tuple[int, StateVector]:
     """Projective z measurement of the bus.
 
     The state collapses on the *true* outcome; the returned outcome is the
-    reported one (flipped with probability 1 - F).  Branches below 1e-14
-    probability are never selected, so renormalization cannot divide by
-    zero.
+    reported one (flipped with probability 1 - F).  ``readout.rng`` supplies
+    one uniform for the true outcome, then one for the report flip.
+    Branches below 1e-14 probability are never selected, so renormalization
+    cannot divide by zero.
     """
-    p1 = excited_population(state, 0)
-    u_true = readout.rng.random() if _u_true is None else _u_true
-    u_flip = readout.rng.random() if _u_flip is None else _u_flip
+    p1 = float(_measured_probabilities(state, [0])[1])
+    u_true = readout.rng.random()
+    u_flip = readout.rng.random()
     if p1 < ZERO_BRANCH_TOL:
         true = 0
     elif p1 > 1.0 - ZERO_BRANCH_TOL:
         true = 1
     else:
         true = int(u_true < p1)
-    collapsed = _collapse(state, 0, true)
+    rows = qubit_rows(state, [0])
+    collapsed = np.zeros_like(rows)
+    collapsed[true] = rows[true] / np.linalg.norm(rows[true])
     reported = true ^ int(u_flip < 1.0 - readout.fidelity)
-    return reported, collapsed
-
-
-@dataclass
-class ReadResult:
-    """One TLS readout: reported outcome, post-measurement state, and the
-    known z-rotation equivalent of the -i swap transfer phase (harmless for
-    z statistics, recorded for phase-sensitive post-processing)."""
-
-    outcome: int
-    state: StateVector
-    transfer_z_angle: float = -np.pi / 2
-
-
-def read_tls(
-    state: StateVector,
-    j: int,
-    config: DeviceConfig,
-    readout: ReadoutModel,
-    _u_true: float | None = None,
-    _u_flip: float | None = None,
-) -> ReadResult:
-    """Transfer TLS j to the bus with a full swap window, then measure."""
-    if excited_population(state, 0) > BUS_GROUND_TOL:
-        raise ProtocolError("bus must be in |0> before a TLS readout transfer")
-    moved = iswap(state, j, config)
-    outcome, collapsed = measure_bus(moved, readout, _u_true, _u_flip)
-    return ReadResult(outcome, collapsed)
+    return reported, join_qubit_rows(collapsed, [0])
 
 
 def rotate_for_basis(state: StateVector, qubit: int, basis) -> StateVector:
@@ -227,17 +188,6 @@ def _pattern_outcomes(patterns: np.ndarray, m: int) -> np.ndarray:
     """(len(patterns), m) +-1 outcomes; column k is bit m-1-k."""
     bits = (patterns[:, None] >> np.arange(m - 1, -1, -1)) & 1
     return 1 - 2 * bits
-
-
-def _measured_probabilities(state: StateVector, qubits) -> np.ndarray:
-    """Joint Born distribution over ``qubits`` (ascending), axis 0 = first."""
-    n = state.num_qubits
-    probs = np.abs(state.amplitudes.reshape((2,) * n)) ** 2
-    keep_axes = [n - 1 - q for q in qubits]
-    drop = tuple(a for a in range(n) if a not in keep_axes)
-    p = probs.sum(axis=drop) if drop else probs
-    # surviving axes run high-qubit-first; flip into measurement order
-    return p.transpose(tuple(reversed(range(p.ndim))))
 
 
 def _conditional_tables(probs: np.ndarray) -> list[np.ndarray]:

@@ -20,7 +20,9 @@ from .states import (
     apply_unitary,
     fidelity,
     ground_register,
+    join_qubit_rows,
     partial_trace,
+    qubit_rows,
 )
 
 DISENTANGLE_TOL = 1e-9
@@ -78,9 +80,6 @@ class PulseSchedule:
 
     def __len__(self):
         return len(self.steps)
-
-    def windows(self) -> list[ResonantWindow]:
-        return [s for s in self.steps if isinstance(s, ResonantWindow)]
 
     def to_text(self) -> str:
         """Line-oriented form, one instruction per line.
@@ -142,16 +141,12 @@ def reset_bus(state: StateVector) -> StateVector:
         raise ProtocolError(
             f"bus reset on an entangled bus (purity {rho.purity():.12f})"
         )
-    n = state.num_qubits
-    psi = state.amplitudes.reshape((2,) * n)
-    rows = np.moveaxis(psi, n - 1, 0).reshape(2, -1)  # axis n-1 holds qubit 0
+    rows = qubit_rows(state, [0])
     norms = np.linalg.norm(rows, axis=1)
     branch = int(np.argmax(norms))
-    register = rows[branch] / norms[branch]
     out = np.zeros_like(rows)
-    out[0] = register
-    out = np.moveaxis(out.reshape((2,) * n), 0, n - 1)
-    return StateVector(np.ascontiguousarray(out).reshape(-1))
+    out[0] = rows[branch] / norms[branch]
+    return join_qubit_rows(out, [0])
 
 
 def bus_rotation_gate(axis: str, angle: float) -> np.ndarray:

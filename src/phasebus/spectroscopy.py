@@ -78,18 +78,18 @@ class AvoidedCrossing:
             )
 
 
-def bare_bus_frequency(bias, omega_p0: float, critical_current: float = 1.0):
-    """Bus transition frequency (Hz) vs normalized bias."""
-    x = np.asarray(bias, dtype=float) / critical_current
+def bare_bus_frequency(bias, omega_p0: float):
+    """Bus transition frequency (Hz) vs bias (critical current normalized to 1)."""
+    x = np.asarray(bias, dtype=float)
     return (omega_p0 / (2 * np.pi)) * (1.0 - x**2) ** 0.25
 
 
-def bias_for_frequency(f_hz: float, omega_p0: float, critical_current: float = 1.0) -> float:
+def bias_for_frequency(f_hz: float, omega_p0: float) -> float:
     """Inverse of the bare bus curve; f must lie below the zero-bias value."""
     f0 = omega_p0 / (2 * np.pi)
     if not 0 < f_hz < f0:
         raise ValueError(f"frequency {f_hz:.4g} Hz not reachable by the bus curve")
-    return critical_current * float(np.sqrt(1.0 - (f_hz / f0) ** 4))
+    return float(np.sqrt(1.0 - (f_hz / f0) ** 4))
 
 
 def synth_spectroscopy(config: DeviceConfig, bias_grid) -> SpectroscopyScan:
@@ -105,15 +105,14 @@ def synth_spectroscopy(config: DeviceConfig, bias_grid) -> SpectroscopyScan:
         raise ValueError("bias grid must be finite and strictly increasing")
     if config.bias_model is None:
         raise ValueError("config has no bias model; spectroscopy unavailable")
-    i0 = config.bias_model.critical_current
-    if np.any(bias <= 0) or np.any(bias / i0 >= 0.999):
+    if np.any(bias <= 0) or np.any(bias >= 0.999):
         raise ValueError("bias values must lie in (0, 0.999) of critical current")
 
     f_tls = np.array([t.frequency_hz for t in config.tls])
     gaps = np.array([t.splitting_hz for t in config.tls])
     n = f_tls.size
 
-    fq = bare_bus_frequency(bias, config.bias_model.omega_p0, i0)
+    fq = bare_bus_frequency(bias, config.bias_model.omega_p0)
 
     order = np.argsort(f_tls)
     target_f = f_tls[order]
@@ -286,13 +285,12 @@ def default_bias_grid(config: DeviceConfig, points: int = 2000) -> np.ndarray:
     f_top = max(f_tls) + pad
     f_bot = min(f_tls) - pad
     om = config.bias_model.omega_p0
-    i0 = config.bias_model.critical_current
     f0 = om / (2 * np.pi)
     if f_top >= f0:
         raise ValueError(
             "bias model omega_p0 too low: bus curve cannot reach above the "
             "highest TLS frequency"
         )
-    lo = bias_for_frequency(f_top, om, i0)
-    hi = bias_for_frequency(max(f_bot, 0.02 * f0), om, i0)
+    lo = bias_for_frequency(f_top, om)
+    hi = bias_for_frequency(max(f_bot, 0.02 * f0), om)
     return np.linspace(lo, hi, points)

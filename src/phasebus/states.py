@@ -4,7 +4,10 @@ Conventions used throughout the package:
 
 * Qubit 0 is the phase-qubit bus; qubits 1..N are the TLSs.
 * Basis index bit k encodes the state of qubit k (little-endian), so
-  ``amplitudes[5]`` of a 3-qubit register is ``|1,g,e>``.
+  ``amplitudes[5]`` of a 3-qubit register is ``|1,g,e>``.  As an n-axis
+  tensor, qubit q is axis n-1-q; ``qubit_rows`` and ``join_qubit_rows``
+  turn a state into rows over chosen qubits and back, so no other module
+  does axis arithmetic.
 * ``Z|0> = +|0>`` and ``Z|g> = +|g>``: the 0/g level is the ground state.
 * Global phase is physical: operations never renormalize or strip phases.
   ``fidelity`` is the phase-insensitive comparator.
@@ -112,6 +115,30 @@ def _check_targets(n: int, targets) -> list[int]:
     return targets
 
 
+def _qubit_axes(n: int, qubits) -> list[int]:
+    # axis n-1-q holds qubit q; front axes ordered most-significant-first
+    return [n - 1 - q for q in reversed(qubits)]
+
+
+def qubit_rows(state: StateVector, qubits) -> np.ndarray:
+    """The amplitudes as a (2^m, 2^(n-m)) matrix over m listed qubits.
+
+    Row bit p is qubit ``qubits[p]``; column bit i is the i-th smallest of
+    the other qubits.  ``join_qubit_rows`` is the inverse.
+    """
+    n = state.num_qubits
+    psi = state.amplitudes.reshape((2,) * n)
+    psi = np.moveaxis(psi, _qubit_axes(n, qubits), range(len(qubits)))
+    return psi.reshape(2 ** len(qubits), -1)
+
+
+def join_qubit_rows(rows: np.ndarray, qubits) -> StateVector:
+    """The state whose ``qubit_rows(state, qubits)`` is ``rows``."""
+    n = rows.size.bit_length() - 1
+    psi = np.moveaxis(rows.reshape((2,) * n), range(len(qubits)), _qubit_axes(n, qubits))
+    return StateVector(np.ascontiguousarray(psi).reshape(-1))
+
+
 def apply_unitary(state: StateVector, gate: np.ndarray, targets) -> StateVector:
     """Apply a 2^m x 2^m unitary to the listed target qubits.
 
@@ -127,14 +154,7 @@ def apply_unitary(state: StateVector, gate: np.ndarray, targets) -> StateVector:
     if np.abs(gate @ gate.conj().T - np.eye(2**m)).max() > 1e-12:
         raise ValueError("gate is not unitary within 1e-12")
 
-    psi = state.amplitudes.reshape((2,) * n)
-    # axis n-1-q holds qubit q; front axes ordered most-significant-first
-    src = [n - 1 - q for q in reversed(targets)]
-    psi = np.moveaxis(psi, src, range(m))
-    rest = psi.shape[m:]
-    psi = (gate @ psi.reshape(2**m, -1)).reshape((2,) * m + rest)
-    psi = np.moveaxis(psi, range(m), src)
-    return StateVector(np.ascontiguousarray(psi).reshape(-1))
+    return join_qubit_rows(gate @ qubit_rows(state, targets), targets)
 
 
 def evolve(state: StateVector, generator: np.ndarray, t: float) -> StateVector:
@@ -195,22 +215,19 @@ def partial_trace(state: StateVector, keep) -> DensityMatrix:
     keep = sorted(_check_targets(n, keep))
     if not keep:
         raise ValueError("keep list is empty")
-    k = len(keep)
-    psi = state.amplitudes.reshape((2,) * n)
-    src = [n - 1 - q for q in reversed(keep)]
-    psi = np.moveaxis(psi, src, range(k))
-    mat = psi.reshape(2**k, -1)
+    mat = qubit_rows(state, keep)
     return DensityMatrix(mat @ mat.conj().T)
 
 
-def excited_population(state: StateVector, qubit: int) -> float:
-    """Probability of finding ``qubit`` in |1>/|e>."""
+def _measured_probabilities(state: StateVector, qubits) -> np.ndarray:
+    """Joint Born distribution over ``qubits`` (ascending), axis 0 = first."""
     n = state.num_qubits
-    _check_targets(n, [qubit])
-    psi = state.amplitudes.reshape((2,) * n)
-    axis = n - 1 - qubit
-    probs = np.sum(np.abs(psi) ** 2, axis=tuple(a for a in range(n) if a != axis))
-    return float(probs[1])
+    probs = np.abs(state.amplitudes.reshape((2,) * n)) ** 2
+    keep_axes = _qubit_axes(n, qubits)
+    drop = tuple(a for a in range(n) if a not in keep_axes)
+    p = probs.sum(axis=drop) if drop else probs
+    # surviving axes run high-qubit-first; flip into measurement order
+    return p.transpose(tuple(reversed(range(p.ndim))))
 
 
 def expectation(state: StateVector, op) -> float:

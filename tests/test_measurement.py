@@ -6,17 +6,15 @@ import numpy as np
 import pytest
 
 from conftest import simple_config
-from phasebus.device import ProtocolError
+from phasebus.device import ProtocolError, iswap
 from phasebus.measurement import (
     _SHOT_BLOCK,
     ReadoutModel,
     ShotRecord,
-    _measured_probabilities,
     _value_table,
     derive_rng,
     estimate_witness_sampled,
     measure_bus,
-    read_tls,
     rotate_for_basis,
     sample_shots,
     tomography_two_qubit,
@@ -28,7 +26,7 @@ from phasebus.protocols import (
     run_cluster_protocol,
     run_w_protocol,
 )
-from phasebus.states import StateVector, basis_state
+from phasebus.states import StateVector, _measured_probabilities, basis_state
 from phasebus.witnesses import (
     cluster_witness,
     group_settings,
@@ -91,19 +89,8 @@ class TestMeasureBus:
             idx = 3 if outcome else 0
             assert abs(state.amplitudes[idx] - 1.0) < 1e-12
 
-
-class TestReadTls:
-    def test_excited_tls_reports_one(self, config3):
-        ro = ReadoutModel(1.0, seed=5)
-        res = read_tls(basis_state("0egg"), 1, config3, ro)
-        assert res.outcome == 1
-        assert res.transfer_z_angle == pytest.approx(-np.pi / 2)
-
-    def test_ground_tls_reports_zero(self, config3):
-        ro = ReadoutModel(1.0, seed=6)
-        assert read_tls(basis_state("0ggg"), 2, config3, ro).outcome == 0
-
     def test_w3_single_excitation_per_shot(self, config3):
+        # swap each TLS of W3 onto the bus and read it: one reads 1 per shot
         rep = run_w_protocol(config3, 3)
         ro = ReadoutModel(1.0, seed=7)
         for _ in range(200):
@@ -112,15 +99,9 @@ class TestReadTls:
             for k, q in enumerate((1, 2, 3)):
                 if k:
                     psi = reset_bus(psi)
-                res = read_tls(psi, q, config3, ro)
-                total += res.outcome
-                psi = res.state
+                outcome, psi = measure_bus(iswap(psi, q, config3), ro)
+                total += outcome
             assert total == 1
-
-    def test_rejects_excited_bus(self, config3):
-        ro = ReadoutModel(1.0, seed=8)
-        with pytest.raises(ProtocolError, match="bus"):
-            read_tls(basis_state("1ggg"), 1, config3, ro)
 
 
 class TestRotateForBasis:
@@ -164,11 +145,14 @@ class TestRotateForBasis:
 def physical_shots(state, qubits, bases, shots, config, readout, rng):
     """Oracle for ``sample_shots``: walk the explicit per-shot sequence.
 
-    Each shot rotates the TLSs into their bases, then transfers and reads
-    them in ascending order with a bus reset between reads, taking its
-    uniforms from the stream in the same order as the sampler.
+    Each shot rotates the TLSs into their bases, then reads them in
+    ascending order: a bus reset between reads, a full swap window that
+    moves the TLS onto the bus, and a bus measurement.  The bus readout
+    draws its uniforms one at a time from ``rng``, the same stream a
+    (shots, m, 2) draw of the sampler fills in the same order.
     """
-    uniforms = rng.random((shots, len(qubits), 2))
+    bus = ReadoutModel(readout.fidelity)
+    bus.rng = rng
     reported = np.zeros((shots, len(qubits)), dtype=int)
     for s in range(shots):
         psi = state
@@ -177,12 +161,7 @@ def physical_shots(state, qubits, bases, shots, config, readout, rng):
         for k, q in enumerate(qubits):
             if k > 0:
                 psi = reset_bus(psi)
-            result = read_tls(
-                psi, q, config, readout,
-                _u_true=uniforms[s, k, 0], _u_flip=uniforms[s, k, 1],
-            )
-            reported[s, k] = result.outcome
-            psi = result.state
+            reported[s, k], psi = measure_bus(iswap(psi, q, config), bus)
     return 1 - 2 * reported
 
 
@@ -233,10 +212,13 @@ class TestSampleShots:
     def test_fast_and_physical_agree_bitwise(self, config3):
         state = run_w_protocol(config3, 3).final_state
         ro = ReadoutModel(0.96, seed=11)
-        for bases in (("z", "z", "z"), ("z+x", "z+x", "z+x"), ("x", "y", "z")):
-            fast = sample_shots(state, [1, 2, 3], bases, 300, ro, derive_rng(5, "cmp"))
+        cases = [([1, 2, 3], bases) for bases in
+                 (("z", "z", "z"), ("z+x", "z+x", "z+x"), ("x", "y", "z"))]
+        cases.append(([2], ((0.7, 2.1),)))  # one read qubit, a Bloch direction
+        for qubits, bases in cases:
+            fast = sample_shots(state, qubits, bases, 300, ro, derive_rng(5, "cmp"))
             phys = physical_shots(
-                state, [1, 2, 3], bases, 300, config3, ro, derive_rng(5, "cmp")
+                state, qubits, bases, 300, config3, ro, derive_rng(5, "cmp")
             )
             assert np.array_equal(fast.outcomes, phys)
 

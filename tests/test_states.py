@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasebus.paulis import SIGMA, PauliString
 from phasebus.states import (
@@ -11,7 +13,9 @@ from phasebus.states import (
     expectation,
     fidelity,
     ground_register,
+    join_qubit_rows,
     partial_trace,
+    qubit_rows,
 )
 
 
@@ -260,6 +264,41 @@ class TestPartialTrace:
     def test_empty_keep_rejected(self):
         with pytest.raises(ValueError):
             partial_trace(basis_state("00"), [])
+
+
+@st.composite
+def registers_and_qubit_lists(draw):
+    """A random state of 1..7 qubits and a list of distinct qubits in any
+    order, as ``apply_unitary`` accepts for its targets."""
+    n = draw(st.integers(1, 7))
+    state = _random_state(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    qubits = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+    return state, qubits
+
+
+class TestQubitRows:
+    @settings(max_examples=200, deadline=None)
+    @given(registers_and_qubit_lists())
+    def test_join_inverts_split_bitwise(self, case):
+        state, qubits = case
+        back = join_qubit_rows(qubit_rows(state, qubits), qubits)
+        assert np.array_equal(back.amplitudes, state.amplitudes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(registers_and_qubit_lists())
+    def test_entry_layout(self, case):
+        # row bit p is qubits[p]; column bits fill the other qubits, the
+        # smallest on bit 0
+        state, qubits = case
+        n, m = state.num_qubits, len(qubits)
+        others = [q for q in range(n) if q not in qubits]
+        rows = qubit_rows(state, qubits)
+        assert rows.shape == (2**m, 2 ** (n - m))
+        for r in range(2**m):
+            for c in range(2 ** (n - m)):
+                index = sum(((r >> p) & 1) << q for p, q in enumerate(qubits))
+                index += sum(((c >> i) & 1) << q for i, q in enumerate(others))
+                assert rows[r, c] == state.amplitudes[index]
 
 
 class TestDensityMatrix:

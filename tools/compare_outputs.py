@@ -21,6 +21,9 @@ commands are:
 - at the same fidelity, shot counts that cross the sampler's uniform-draw
   blocks of 4,096 shots: ``witness`` c4 with 3 * 4096 + 7 shots and
   ``--emit-shots``, and ``tomo`` with 4096 + 1 shots
+- targets listed in descending qubit order, which reach the gate
+  calculus, the partial trace and the sampler unsorted: exact ``tomo
+  --target bell:2:1`` and with 1000 shots, and ``bell --target bell:3:1``
 - every command the lists above leave out, since each command handler
   imports its own layers: ``rwa-check --tls 1``, ``w-state --n 3 --mode
   paper-n3``, ``cluster --n 4 --bus-init ground`` and exact ``witness`` c4;
@@ -61,6 +64,9 @@ EXTRA = {
     "spectroscopy-3": ["spectroscopy", "--points", "3"],
     "witness-c4-blocks": ["witness", "--target", "c4", "--shots", "12295", "--emit-shots"],
     "tomo-blocks": ["tomo", "--target", "bell:1:2", "--shots", "4097"],
+    "tomo-reversed-exact": ["tomo", "--target", "bell:2:1"],
+    "tomo-reversed-1000": ["tomo", "--target", "bell:2:1", "--shots", "1000"],
+    "bell-reversed": ["bell", "--target", "bell:3:1"],
     "rwa-check-1": ["rwa-check", "--tls", "1"],
     "w-state-3-paper": ["w-state", "--n", "3", "--mode", "paper-n3"],
     "cluster-4-ground": ["cluster", "--n", "4", "--bus-init", "ground"],
