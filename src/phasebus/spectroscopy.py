@@ -40,6 +40,8 @@ class SpectroscopyScan:
         freqs = np.asarray(self.branch_frequencies, dtype=float)
         if freqs.shape[0] != bias.size:
             raise ValueError("one frequency row per bias point required")
+        if not (np.all(np.isfinite(bias)) and np.all(np.isfinite(freqs))):
+            raise ValueError("bias points and branch frequencies must be finite")
         if np.any(freqs <= 0):
             raise ValueError("branch frequencies must be positive")
         if np.any(np.diff(freqs, axis=1) < 0):
@@ -54,12 +56,13 @@ class SpectroscopyScan:
     def to_csv(self, path) -> None:
         """One ``bias,branch_index,frequency_hz`` row per bias point and
         branch, floats as round-trip text, CRLF line ends (csv's default),
-        written row by row."""
+        written one bias point at a time."""
         with open(path, "w", newline="") as fh:
             fh.write("bias,branch_index,frequency_hz\r\n")
             rows = zip(self.bias_points.tolist(), self.branch_frequencies.tolist())
             for b, freqs in rows:
-                fh.writelines(f"{b!r},{br},{f!r}\r\n" for br, f in enumerate(freqs))
+                lead = f"{b!r},"
+                fh.write("".join([f"{lead}{br},{f!r}\r\n" for br, f in enumerate(freqs)]))
 
 
 @dataclass(frozen=True)
@@ -97,8 +100,11 @@ def synth_spectroscopy(config: DeviceConfig, bias_grid) -> SpectroscopyScan:
 
     The grid must be finite and strictly increasing, with values in
     (0, 0.999) of the critical current.  Calibration needs each crossing
-    bracketed by the grid; on partial grids the branches fall back to the
-    uncalibrated level model.
+    bracketed by the grid; on partial grids, or where a refined splitting
+    comes out zero, calibration stops with the last model solved.  Each
+    calibration pass after the first re-solves only the bias points that
+    Weyl's bound cannot rule out as holding or bracketing a gap minimum;
+    the returned branches are one full sweep of the final model.
     """
     bias = np.asarray(bias_grid, dtype=float)
     if bias.ndim != 1 or not np.all(np.isfinite(bias)) or np.any(np.diff(bias) <= 0):
@@ -110,7 +116,6 @@ def synth_spectroscopy(config: DeviceConfig, bias_grid) -> SpectroscopyScan:
 
     f_tls = np.array([t.frequency_hz for t in config.tls])
     gaps = np.array([t.splitting_hz for t in config.tls])
-    n = f_tls.size
 
     fq = bare_bus_frequency(bias, config.bias_model.omega_p0)
 
@@ -125,8 +130,14 @@ def synth_spectroscopy(config: DeviceConfig, bias_grid) -> SpectroscopyScan:
     g = target_gap.copy()
     levels = target_f.copy()
     branches = _level_branches(fq, levels, g)
+    # gap_lb[r, k] bounds gap k at row r from below and is the computed gap
+    # of the current model wherever row r was solved in this pass; every
+    # row that holds or brackets a column's minimum was, so the observation
+    # reads exactly what a full sweep would give
+    gap_lb = np.diff(branches, axis=1)
+    swept = True
     for _ in range(12):
-        observed = _observed_crossings(bias, branches)
+        observed = _observed_crossings(bias, branches, gap_lb)
         if observed is None:
             break
         obs_gap, obs_f = observed
@@ -135,10 +146,45 @@ def synth_spectroscopy(config: DeviceConfig, bias_grid) -> SpectroscopyScan:
             and np.abs(obs_f - target_f).max() < 1e-9 * target_f.min()
         ):
             break
-        g = g * (target_gap / obs_gap)
-        levels = levels + (target_f - obs_f)
+        new_g = g * (target_gap / obs_gap)
+        new_levels = levels + (target_f - obs_f)
+        # Weyl: the block moves by a symmetric matrix of spectral norm at
+        # most delta at every bias, so no gap moves by more than 2 * delta;
+        # the slack covers LAPACK's backward error on both models
+        delta = np.sqrt(
+            np.sum((new_levels - levels) ** 2) + 0.5 * np.sum((new_g - g) ** 2)
+        )
+        shift = 2.0 * delta + _WEYL_SLACK * (
+            _norm_bound(fq, levels, g) + _norm_bound(fq, new_levels, new_g)
+        )
+        g, levels = new_g, new_levels
+        # a row can hold a column's new minimum only if its lowered bound
+        # reaches the raised value at the column's old minimum row; its two
+        # neighbours are solved too, for the three-point bracket
+        near = np.any(gap_lb - gap_lb.min(axis=0) <= 2.0 * shift, axis=1)
+        solve = near.copy()
+        solve[1:] |= near[:-1]
+        solve[:-1] |= near[1:]
+        rows = np.flatnonzero(solve)
+        gap_lb -= shift
+        branches[rows] = _level_branches(fq[rows], levels, g)
+        gap_lb[rows] = np.diff(branches[rows], axis=1)
+        swept = rows.size == bias.size
+    if not swept:
         branches = _level_branches(fq, levels, g)
     return SpectroscopyScan(bias, branches)
+
+
+# relative size of LAPACK's eigenvalue error allowed for, some 1e5 times
+# the backward error of eigvalsh on an (N + 1)-row block
+_WEYL_SLACK = 1e-9
+
+
+def _norm_bound(fq, levels, couplings) -> float:
+    """Upper bound on the spectral norm of every level block of a model."""
+    return float(
+        max(np.abs(fq).max(), np.abs(levels).max()) + 0.5 * np.abs(couplings).sum()
+    )
 
 
 def _level_branches(fq: np.ndarray, f_tls: np.ndarray, couplings: np.ndarray):
@@ -152,25 +198,27 @@ def _level_branches(fq: np.ndarray, f_tls: np.ndarray, couplings: np.ndarray):
     return np.linalg.eigvalsh(blocks)
 
 
-def _observed_crossings(bias, branches):
+def _observed_crossings(bias, branches, gaps):
     """Refined (gap, frequency) of each crossing, or None if one is missing.
 
     The crossing of the k-th lowest TLS hybridizes sorted branches k and
-    k+1, so its gap minimum is searched in that column only.
+    k+1, so its gap minimum is searched in column k of ``gaps``.  A
+    minimum at the grid edge, or a refined splitting that is not finite
+    and positive, counts as missing.
     """
     n = branches.shape[1] - 1
     gaps_out = np.empty(n)
     freqs_out = np.empty(n)
     for k in range(n):
-        gap = branches[:, k + 1] - branches[:, k]
-        i = int(np.argmin(gap))
+        i = int(np.argmin(gaps[:, k]))
         if i == 0 or i == len(bias) - 1:
             return None
-        center, gaps_out[k] = _refine_gap_minimum(
-            bias[i - 1 : i + 2], gap[i - 1 : i + 2]
-        )
-        mid = 0.5 * (branches[:, k] + branches[:, k + 1])
-        freqs_out[k] = np.interp(center, bias, mid)
+        near = slice(i - 1, i + 2)
+        center, gaps_out[k] = _refine_gap_minimum(bias[near], gaps[near, k])
+        if not (np.isfinite(gaps_out[k]) and gaps_out[k] > 0):
+            return None
+        mid = 0.5 * (branches[near, k] + branches[near, k + 1])
+        freqs_out[k] = np.interp(center, bias[near], mid)
     return gaps_out, freqs_out
 
 
@@ -229,35 +277,34 @@ def extract_tls_parameters(scan: SpectroscopyScan) -> list[AvoidedCrossing]:
     lo, hi = DETECTION_BAND_HZ
     found: list[AvoidedCrossing] = []
 
-    for col in range(scan.num_branches - 1):
-        gap = freqs[:, col + 1] - freqs[:, col]
-        for i in range(len(bias)):
-            if not (gap[i] <= hi):
-                continue
-            is_min = (i == 0 or gap[i] < gap[i - 1]) and (
-                i == len(bias) - 1 or gap[i] <= gap[i + 1]
+    # candidate minima, column by column: within the band, below the left
+    # neighbour and not above the right one (an edge point lacks that one)
+    gaps = np.diff(freqs, axis=1)
+    is_min = gaps <= hi
+    is_min[1:] &= gaps[1:] < gaps[:-1]
+    is_min[:-1] &= gaps[:-1] <= gaps[1:]
+    cols, rows = np.nonzero(is_min.T)
+    for col, i in zip(cols.tolist(), rows.tolist()):
+        gap = gaps[:, col]
+        if i == 0 or i == len(bias) - 1:
+            warnings.warn(
+                f"gap minimum at scan edge (bias {bias[i]:.4g}) lacks a "
+                "three-point bracket; crossing omitted",
+                stacklevel=2,
             )
-            if not is_min:
-                continue
-            if i == 0 or i == len(bias) - 1:
-                warnings.warn(
-                    f"gap minimum at scan edge (bias {bias[i]:.4g}) lacks a "
-                    "three-point bracket; crossing omitted",
-                    stacklevel=2,
-                )
-                continue
-            if not _is_prominent(gap, i, lo):
-                continue
-            center, splitting = _refine_gap_minimum(
-                bias[i - 1 : i + 2], gap[i - 1 : i + 2]
-            )
-            if not lo <= splitting <= hi:
-                continue
-            mid = 0.5 * (freqs[:, col] + freqs[:, col + 1])
-            lo_i, hi_i = (i - 1, i) if center <= bias[i] else (i, i + 1)
-            frac = (center - bias[lo_i]) / (bias[hi_i] - bias[lo_i])
-            crossing_freq = float(mid[lo_i] + frac * (mid[hi_i] - mid[lo_i]))
-            found.append(AvoidedCrossing(center, splitting, crossing_freq))
+            continue
+        if not _is_prominent(gap, i, lo):
+            continue
+        center, splitting = _refine_gap_minimum(
+            bias[i - 1 : i + 2], gap[i - 1 : i + 2]
+        )
+        if not lo <= splitting <= hi:
+            continue
+        mid = 0.5 * (freqs[:, col] + freqs[:, col + 1])
+        lo_i, hi_i = (i - 1, i) if center <= bias[i] else (i, i + 1)
+        frac = (center - bias[lo_i]) / (bias[hi_i] - bias[lo_i])
+        crossing_freq = float(mid[lo_i] + frac * (mid[hi_i] - mid[lo_i]))
+        found.append(AvoidedCrossing(center, splitting, crossing_freq))
 
     found.sort(key=lambda c: c.tls_frequency)
     step = float(np.min(np.abs(np.diff(bias)))) if bias.size > 1 else 0.0

@@ -1,11 +1,21 @@
+import csv
+import io
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import GHZ, MHZ, ten_defect_config
+from conftest import DEMO_CONFIG, GHZ, MHZ, ten_defect_config
+from phasebus.cli import main
+from phasebus.config_io import example_config_dict, load_config, parse_config
 from phasebus.device import BiasModel, DeviceConfig, TlsParams
 from phasebus.spectroscopy import (
+    DETECTION_BAND_HZ,
     AvoidedCrossing,
     SpectroscopyScan,
+    _is_prominent,
+    _level_branches,
+    _refine_gap_minimum,
     bare_bus_frequency,
     bias_for_frequency,
     default_bias_grid,
@@ -47,6 +57,36 @@ class TestScanValidation:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
             SpectroscopyScan(np.array([0.5]), np.array([[-1.0, 5e9]]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["bias", "frequency"])
+    def test_rejects_non_finite(self, where, value):
+        # NaN passes both the positivity and the sortedness check
+        bias = np.array([0.4, 0.5, 0.6])
+        freqs = np.array([[4e9, 5e9], [4.1e9, 5e9], [4.2e9, 5e9]])
+        if where == "bias":
+            bias[1] = value
+        else:
+            freqs[1, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            SpectroscopyScan(bias, freqs)
+
+    def test_csv_rows_match_csv_writer(self, tmp_path):
+        # one string per bias point is byte for byte what csv.writer makes
+        # of the (bias, branch_index, frequency) rows
+        rng = np.random.default_rng(17)
+        bias = np.sort(rng.uniform(0.01, 0.99, 40))
+        freqs = np.sort(10.0 ** rng.uniform(6, 10.5, (40, 4)), axis=1)
+        freqs[3] = [1e7, 5e9, 5e9, 1.25e10]
+        scan = SpectroscopyScan(bias, freqs)
+        path = tmp_path / "scan.csv"
+        scan.to_csv(path)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["bias", "branch_index", "frequency_hz"])
+        for b, row in zip(bias.tolist(), freqs.tolist()):
+            writer.writerows([b, br, f] for br, f in enumerate(row))
+        assert path.read_bytes() == expected.getvalue().encode()
 
     def test_detection_band(self):
         with pytest.raises(ValueError, match="detection band"):
@@ -186,3 +226,205 @@ class TestDefaultGrid:
         )
         with pytest.raises(ValueError, match="omega_p0"):
             default_bias_grid(cfg)
+
+
+def full_sweep_branches(config, bias):
+    """Oracle: the calibration loop solving every bias point in every pass.
+
+    Each pass observes each column's gap minimum over the whole sweep; an
+    edge minimum or a refined splitting that is not finite and positive
+    ends calibration with the last model.
+    """
+    bias = np.asarray(bias, dtype=float)
+    f_tls = np.array([t.frequency_hz for t in config.tls])
+    gaps = np.array([t.splitting_hz for t in config.tls])
+    order = np.argsort(f_tls)
+    target_f, target_gap = f_tls[order], gaps[order]
+    fq = bare_bus_frequency(bias, config.bias_model.omega_p0)
+    g, levels = target_gap.copy(), target_f.copy()
+    branches = _level_branches(fq, levels, g)
+    for _ in range(12):
+        n = branches.shape[1] - 1
+        obs_gap, obs_f = np.empty(n), np.empty(n)
+        for k in range(n):
+            gap = branches[:, k + 1] - branches[:, k]
+            i = int(np.argmin(gap))
+            if i == 0 or i == len(bias) - 1:
+                return branches
+            center, obs_gap[k] = _refine_gap_minimum(
+                bias[i - 1 : i + 2], gap[i - 1 : i + 2]
+            )
+            if not (np.isfinite(obs_gap[k]) and obs_gap[k] > 0):
+                return branches
+            mid = 0.5 * (branches[:, k] + branches[:, k + 1])
+            obs_f[k] = np.interp(center, bias, mid)
+        if (
+            np.abs(obs_gap - target_gap).max() < 1e-6 * target_gap.min()
+            and np.abs(obs_f - target_f).max() < 1e-9 * target_f.min()
+        ):
+            return branches
+        g = g * (target_gap / obs_gap)
+        levels = levels + (target_f - obs_f)
+        branches = _level_branches(fq, levels, g)
+    return branches
+
+
+@pytest.fixture(scope="module")
+def demo():
+    return load_config(DEMO_CONFIG)
+
+
+class TestCalibrationPruning:
+    """Later calibration passes solve only the rows Weyl's bound keeps; the
+    branches must equal the all-rows loop bit for bit (NaN equal to NaN)."""
+
+    @pytest.mark.parametrize("points", [3, 4, 12, 20, 50, 300, 2000])
+    def test_demo_equals_full_sweep(self, demo, points):
+        grid = default_bias_grid(demo, points)
+        scan = synth_spectroscopy(demo, grid)
+        oracle = full_sweep_branches(demo, grid)
+        assert np.array_equal(scan.branch_frequencies, oracle, equal_nan=True)
+
+    @pytest.mark.parametrize("points", [3, 5, 12, 20, 40, 300, 2000])
+    @pytest.mark.parametrize("num_tls", [2, 5, 8, 10])
+    def test_example_configs_equal_full_sweep(self, num_tls, points):
+        for seed in range(4):
+            config = parse_config(example_config_dict(num_tls, seed))
+            grid = default_bias_grid(config, points)
+            scan = synth_spectroscopy(config, grid)
+            oracle = full_sweep_branches(config, grid)
+            assert np.array_equal(scan.branch_frequencies, oracle, equal_nan=True), seed
+
+    def test_row_subset_solves_like_full_sweep(self, demo):
+        # each block is solved on its own, so any subset of rows gives the
+        # bits of those rows in a full sweep
+        rng = np.random.default_rng(5)
+        fq = bare_bus_frequency(default_bias_grid(demo, 2000), demo.bias_model.omega_p0)
+        levels = np.sort([t.frequency_hz for t in demo.tls])
+        couplings = np.array([t.splitting_hz for t in demo.tls])
+        for _ in range(50):
+            lv = levels + rng.normal(0, 2e6, levels.size)
+            g = couplings * rng.uniform(0.9, 1.1, couplings.size)
+            full = _level_branches(fq, lv, g)
+            rows = np.flatnonzero(rng.random(fq.size) < rng.uniform(0.005, 0.5))
+            assert np.array_equal(_level_branches(fq[rows], lv, g), full[rows])
+
+    def test_demo_passes_after_the_first_solve_fewer_rows(self, demo, monkeypatch):
+        # the first and the returned sweep are full; the passes between
+        # them together solve fewer rows than one full sweep
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(blocks):
+            sizes.append(len(blocks))
+            return eigvalsh(blocks)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        synth_spectroscopy(demo, default_bias_grid(demo, 2000))
+        assert len(sizes) > 2
+        assert sizes[0] == sizes[-1] == 2000
+        assert sum(sizes[1:-1]) < 2000
+
+
+class TestZeroObservedGap:
+    """On coarse grids the refined splitting can clamp to 0; calibration
+    must stop with the last finite model instead of dividing by it."""
+
+    @pytest.mark.parametrize("points", [12, 20])
+    def test_demo_coarse_grid(self, tmp_path, points):
+        argv = ["spectroscopy", "--points", str(points), "--config", DEMO_CONFIG,
+                "--out", str(tmp_path)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        with open(tmp_path / "scan.csv", newline="") as fh:
+            freqs = [float(row["frequency_hz"]) for row in csv.DictReader(fh)]
+        assert len(freqs) == points * 11
+        assert np.all(np.isfinite(freqs))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_example_configs_at_twelve_points(self):
+        for seed in range(40):
+            config = parse_config(example_config_dict(10, seed))
+            scan = synth_spectroscopy(config, default_bias_grid(config, 12))
+            assert np.all(np.isfinite(scan.branch_frequencies)), seed
+
+
+def per_point_extraction(scan):
+    """Oracle: the crossing extraction scanning each column point by point."""
+    bias = scan.bias_points
+    freqs = scan.branch_frequencies
+    lo, hi = DETECTION_BAND_HZ
+    found = []
+    for col in range(scan.num_branches - 1):
+        gap = freqs[:, col + 1] - freqs[:, col]
+        for i in range(len(bias)):
+            if not (gap[i] <= hi):
+                continue
+            is_min = (i == 0 or gap[i] < gap[i - 1]) and (
+                i == len(bias) - 1 or gap[i] <= gap[i + 1]
+            )
+            if not is_min:
+                continue
+            if i == 0 or i == len(bias) - 1:
+                warnings.warn(
+                    f"gap minimum at scan edge (bias {bias[i]:.4g}) lacks a "
+                    "three-point bracket; crossing omitted"
+                )
+                continue
+            if not _is_prominent(gap, i, lo):
+                continue
+            center, splitting = _refine_gap_minimum(
+                bias[i - 1 : i + 2], gap[i - 1 : i + 2]
+            )
+            if not lo <= splitting <= hi:
+                continue
+            mid = 0.5 * (freqs[:, col] + freqs[:, col + 1])
+            lo_i, hi_i = (i - 1, i) if center <= bias[i] else (i, i + 1)
+            frac = (center - bias[lo_i]) / (bias[hi_i] - bias[lo_i])
+            crossing_freq = float(mid[lo_i] + frac * (mid[hi_i] - mid[lo_i]))
+            found.append(AvoidedCrossing(center, splitting, crossing_freq))
+    found.sort(key=lambda c: c.tls_frequency)
+    step = float(np.min(np.abs(np.diff(bias)))) if bias.size > 1 else 0.0
+    merged = []
+    for c in found:
+        if merged and abs(c.center_bias - merged[-1].center_bias) < step:
+            warnings.warn(
+                f"crossings at bias {merged[-1].center_bias:.5g} and "
+                f"{c.center_bias:.5g} are closer than the grid resolution; "
+                "keeping one"
+            )
+            continue
+        merged.append(c)
+    return merged
+
+
+def crossings_and_warnings(extract, scan):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        crossings = extract(scan)
+    return crossings, [(w.category, str(w.message)) for w in caught]
+
+
+class TestExtractionOracle:
+    def scans(self, demo):
+        # the demo sweep (six edge warnings), the demo at coarse grids and a
+        # hand-built scan whose dips sit within one grid step (edge and
+        # merge warnings)
+        for points in (2000, 12, 20, 50):
+            yield synth_spectroscopy(demo, default_bias_grid(demo, points))
+        bias = np.linspace(0.0, 1.0, 201)
+        low = np.full_like(bias, 5.0e9)
+        mid = 5.1e9 - 0.08e9 * np.exp(-(((bias - 0.5) / 0.02) ** 2))
+        high = 5.2e9 - 0.15e9 * np.exp(-(((bias - 0.5004) / 0.02) ** 2))
+        yield SpectroscopyScan(bias, np.sort(np.stack([low, mid, high], axis=1), axis=1))
+
+    def test_same_crossings_and_warnings_as_per_point_loop(self, demo):
+        kinds = set()
+        for scan in self.scans(demo):
+            got = crossings_and_warnings(extract_tls_parameters, scan)
+            want = crossings_and_warnings(per_point_extraction, scan)
+            assert got == want
+            kinds.update(msg.split(" ")[0] for _, msg in got[1])
+        assert kinds == {"gap", "crossings"}

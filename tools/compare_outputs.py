@@ -29,6 +29,9 @@ commands are:
   paper-n3``, ``cluster --n 4 --bus-init ground`` and exact ``witness`` c4;
   and the error exits of ``witness`` c4 with ``--decomposed`` (4) or
   ``--shots 1`` (2), and of ``bell --target bell:1`` (2)
+- ``spectroscopy`` on coarse and middle grids, whose calibration stops
+  early or prunes differently from the 2,000-point sweep: ``--points`` 12,
+  20, 50 and 300
 - every demo script
 
 stderr is not compared: warnings carry source paths and line numbers.
@@ -74,6 +77,10 @@ EXTRA = {
     "witness-c4-decomposed": ["witness", "--target", "c4", "--decomposed"],
     "witness-c4-one-shot": ["witness", "--target", "c4", "--shots", "1"],
     "bell-malformed": ["bell", "--target", "bell:1"],
+    "spectroscopy-12": ["spectroscopy", "--points", "12"],
+    "spectroscopy-20": ["spectroscopy", "--points", "20"],
+    "spectroscopy-50": ["spectroscopy", "--points", "50"],
+    "spectroscopy-300": ["spectroscopy", "--points", "300"],
 }
 
 
