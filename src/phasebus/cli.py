@@ -2,7 +2,8 @@
 deterministic report.
 
 Exit codes: 0 success, 2 usage or config parse error, 3 config invariant
-violation, 4 physics-layer error, 5 output I/O error.
+violation, 4 physics-layer error or a run too large for memory, 5 output
+I/O error.
 """
 
 from __future__ import annotations
@@ -353,6 +354,9 @@ def main(argv=None) -> int:
         return 3
     except (ProtocolError, ValueError) as exc:
         print(f"phasebus: {args.command}: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"phasebus: {args.command}: out of memory: {exc}", file=sys.stderr)
         return 4
 
     try:

@@ -45,6 +45,7 @@ def parse_config(data: dict) -> DeviceConfig:
         omega10 = float(device["omega10_ghz"]) * GHZ_TO_RAD
         readout = float(device.get("readout_fidelity", 1.0))
         omega_p0 = device.get("omega_p0_ghz")
+        omega_p0 = None if omega_p0 is None else float(omega_p0)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config structure: {exc}") from exc
     if not isinstance(tls_rows, list) or not tls_rows:
@@ -59,7 +60,7 @@ def parse_config(data: dict) -> DeviceConfig:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed TLS entry {row!r}: {exc}") from exc
-    bias = BiasModel(float(omega_p0) * GHZ_TO_RAD) if omega_p0 is not None else None
+    bias = BiasModel(omega_p0 * GHZ_TO_RAD) if omega_p0 is not None else None
     return DeviceConfig(
         omega10=omega10, tls=tuple(tls), readout_fidelity=readout, bias_model=bias
     )

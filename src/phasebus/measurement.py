@@ -247,15 +247,17 @@ def sample_shots(
     Per shot, per qubit, one uniform draw decides the true outcome and one
     the report flip, in the order a sequential transfer-and-read of the
     qubits would consume them.  The uniforms are drawn in blocks of
-    ``_SHOT_BLOCK`` shots; the generator fills consecutive blocks from the
-    same stream a single (shots, m, 2) draw would use, so the patterns do
-    not depend on the block size, and only one block of uniforms is held
-    at a time.
+    ``_SHOT_BLOCK`` shots into one buffer; the generator fills consecutive
+    blocks from the same stream a single (shots, m, 2) draw would use, so
+    the patterns do not depend on the block size, and only one block of
+    uniforms is held at a time.
     """
     qubits = list(qubits)
     bases = list(bases)
     if qubits != sorted(qubits) or len(set(qubits)) != len(qubits):
         raise ValueError("qubits must be distinct and ascending")
+    if len(bases) != len(qubits):
+        raise ValueError(f"{len(bases)} bases for {len(qubits)} qubits")
     if shots < 1:
         raise ValueError("need at least one shot")
     m = len(qubits)
@@ -265,8 +267,9 @@ def sample_shots(
         rotated = rotate_for_basis(rotated, q, b)
     tables = _conditional_tables(_measured_probabilities(rotated, qubits))
     patterns = np.empty(shots, dtype=np.int64)
+    buf = np.empty((min(_SHOT_BLOCK, shots), m, 2))
     for start in range(0, shots, _SHOT_BLOCK):
-        uniforms = rng.random((min(_SHOT_BLOCK, shots - start), m, 2))
+        uniforms = rng.random(out=buf[:min(_SHOT_BLOCK, shots - start)])
         block = _sample_true_outcomes(tables, uniforms[:, :, 0])
         flips = np.zeros(len(block), dtype=np.int64)
         for k in range(m):

@@ -26,6 +26,8 @@ SIGMA = {
 }
 
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
 
 
 @dataclass(frozen=True)
@@ -38,12 +40,14 @@ class PauliString:
     labels: str
 
     def __post_init__(self):
-        if not self.labels or any(c not in "IXYZ" for c in self.labels):
-            raise ValueError(f"bad Pauli string {self.labels!r}")
-        x = sum(1 << q for q, c in enumerate(self.labels) if c in "XY")
-        z = sum(1 << q for q, c in enumerate(self.labels) if c in "ZY")
-        object.__setattr__(self, "x_mask", x)
-        object.__setattr__(self, "z_mask", z)
+        labels = self.labels
+        # strip leaves a string empty exactly when every letter is in IXYZ
+        if not isinstance(labels, str) or not labels or labels.strip("IXYZ"):
+            raise ValueError(f"bad Pauli string {labels!r}")
+        # int(..., 2) reads the highest bit first, so reverse to put qubit 0 lowest
+        reverse = labels[::-1]
+        object.__setattr__(self, "x_mask", int(reverse.translate(_X_BITS), 2))
+        object.__setattr__(self, "z_mask", int(reverse.translate(_Z_BITS), 2))
 
     def __str__(self) -> str:
         return self.labels

@@ -127,6 +127,10 @@ def qubit_rows(state: StateVector, qubits) -> np.ndarray:
     the other qubits.  ``join_qubit_rows`` is the inverse.
     """
     n = state.num_qubits
+    if len(qubits) == 1:
+        # the qubits above and below the one listed, each merged into one axis
+        hi, lo = 2 ** (n - 1 - qubits[0]), 2 ** qubits[0]
+        return state.amplitudes.reshape(hi, 2, lo).transpose(1, 0, 2).reshape(2, -1)
     psi = state.amplitudes.reshape((2,) * n)
     psi = np.moveaxis(psi, _qubit_axes(n, qubits), range(len(qubits)))
     return psi.reshape(2 ** len(qubits), -1)
@@ -135,7 +139,11 @@ def qubit_rows(state: StateVector, qubits) -> np.ndarray:
 def join_qubit_rows(rows: np.ndarray, qubits) -> StateVector:
     """The state whose ``qubit_rows(state, qubits)`` is ``rows``."""
     n = rows.size.bit_length() - 1
-    psi = np.moveaxis(rows.reshape((2,) * n), range(len(qubits)), _qubit_axes(n, qubits))
+    if len(qubits) == 1:
+        hi, lo = 2 ** (n - 1 - qubits[0]), 2 ** qubits[0]
+        psi = rows.reshape(2, hi, lo).transpose(1, 0, 2)
+    else:
+        psi = np.moveaxis(rows.reshape((2,) * n), range(len(qubits)), _qubit_axes(n, qubits))
     return StateVector(np.ascontiguousarray(psi).reshape(-1))
 
 

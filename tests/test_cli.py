@@ -139,6 +139,38 @@ class TestExitCodes:
                    "--out", str(tmp_path / "o")])
         assert rc == 3
 
+    @pytest.mark.parametrize("value", ["abc", [1], {}], ids=["text", "list", "object"])
+    def test_malformed_omega_p0(self, tmp_path, capsys, value):
+        data = {
+            "device": {"omega10_ghz": 6.0, "omega_p0_ghz": value},
+            "tls": [{"id": "a", "omega_r_ghz": 5.0, "splitting_mhz": 40.0}],
+        }
+        path = tmp_path / "p0.json"
+        path.write_text(json.dumps(data))
+        rc = main(["w-state", "--config", str(path), "--n", "1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("phasebus: invalid config: ") and err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_out_of_memory_exits_four(self, small_config_path, tmp_path, capsys,
+                                      monkeypatch):
+        import phasebus.cli
+
+        def exhausted(args, config):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setitem(phasebus.cli._HANDLERS, "spectroscopy", exhausted)
+        rc = main(["spectroscopy", "--config", small_config_path,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 4
+        assert capsys.readouterr().err == (
+            "phasebus: spectroscopy: out of memory: "
+            "Unable to allocate 745. GiB for an array\n"
+        )
+        assert not os.path.exists(tmp_path / "o")
+
     def test_bad_readout_override(self, small_config_path, tmp_path):
         rc = main(["w-state", "--config", small_config_path, "--n", "2",
                    "--readout-f", "0.3", "--out", str(tmp_path / "o")])

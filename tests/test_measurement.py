@@ -228,6 +228,12 @@ class TestSampleShots:
         with pytest.raises(ValueError, match="ascending"):
             sample_shots(state, [2, 1], ("z", "z"), 10, ro, derive_rng(0, "x"))
 
+    def test_requires_one_basis_per_qubit(self, config3):
+        state = run_w_protocol(config3, 3).final_state
+        ro = ReadoutModel(1.0, seed=12)
+        with pytest.raises(ValueError, match="2 bases for 3 qubits"):
+            sample_shots(state, [1, 2, 3], ("z", "x"), 10, ro, derive_rng(0, "x"))
+
     def test_reported_bias_matches_scaling(self, config3):
         # on an eigenstate, E[reported value] = (2F - 1) * E[true value]
         fidelity = 0.9

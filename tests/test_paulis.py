@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,27 @@ from phasebus.states import StateVector
 
 
 def test_rejects_bad_labels():
-    with pytest.raises(ValueError):
-        PauliString("XQ")
-    with pytest.raises(ValueError):
-        PauliString("")
+    for labels in ("", "x", "X1", "XA", "IXYZ ", "XQ", " X", "I_X", "-X"):
+        with pytest.raises(ValueError, match="bad Pauli string"):
+            PauliString(labels)
+
+
+def _enumerated_masks(labels):
+    x = sum(1 << q for q, c in enumerate(labels) if c in "XY")
+    z = sum(1 << q for q, c in enumerate(labels) if c in "ZY")
+    return x, z
+
+
+def test_masks_match_enumeration():
+    for n in range(1, 6):
+        for letters in itertools.product("IXYZ", repeat=n):
+            p = PauliString("".join(letters))
+            assert (p.x_mask, p.z_mask) == _enumerated_masks(p.labels)
+    rng = np.random.default_rng(9)
+    for _ in range(2000):
+        labels = "".join(rng.choice(list("IXYZ"), size=int(rng.integers(1, 11))))
+        p = PauliString(labels)
+        assert (p.x_mask, p.z_mask) == _enumerated_masks(labels)
 
 
 def test_weight_and_support():

@@ -266,6 +266,36 @@ class TestPartialTrace:
             partial_trace(basis_state("00"), [])
 
 
+def moveaxis_rows(state, q):
+    """The n-axis ``np.moveaxis`` layout of ``qubit_rows(state, [q])``."""
+    n = state.num_qubits
+    return np.moveaxis(state.amplitudes.reshape((2,) * n), n - 1 - q, 0).reshape(2, -1)
+
+
+def moveaxis_join(rows, q):
+    n = rows.size.bit_length() - 1
+    psi = np.moveaxis(rows.reshape((2,) * n), 0, n - 1 - q)
+    return np.ascontiguousarray(psi).reshape(-1)
+
+
+class TestOneQubitRows:
+    # one listed qubit takes a three-axis transpose instead of the n-axis
+    # np.moveaxis; every entry and every gate product must stay the same
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_rows_and_gate_match_moveaxis_bitwise(self, n):
+        rng = np.random.default_rng(700 + n)
+        s = _random_state(rng, n)
+        for q in range(n):
+            rows = qubit_rows(s, [q])
+            expected = moveaxis_rows(s, q)
+            assert np.array_equal(rows, expected)
+            assert rows.flags.c_contiguous == expected.flags.c_contiguous
+            assert np.array_equal(join_qubit_rows(rows, [q]).amplitudes, moveaxis_join(rows, q))
+            gate = _haar_unitary(rng, 2)
+            out = apply_unitary(s, gate, [q])
+            assert np.array_equal(out.amplitudes, moveaxis_join(gate @ expected, q))
+
+
 @st.composite
 def registers_and_qubit_lists(draw):
     """A random state of 1..7 qubits and a list of distinct qubits in any

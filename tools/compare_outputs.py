@@ -20,7 +20,12 @@ commands are:
   ``lab-day``, which reads out at ``--readout-f 1``
 - at the same fidelity, shot counts that cross the sampler's uniform-draw
   blocks of 4,096 shots: ``witness`` c4 with 3 * 4096 + 7 shots and
-  ``--emit-shots``, and ``tomo`` with 4096 + 1 shots
+  ``--emit-shots``, ``witness`` w6 with 4096 + 1 shots and
+  ``--emit-shots`` (collective Bloch directions, a full block and a
+  partial last block in the reused draw buffer), and ``tomo`` with
+  4096 + 1 shots
+- the largest register through the one-qubit basis rotations: ``witness``
+  w10 with 50 shots
 - targets listed in descending qubit order, which reach the gate
   calculus, the partial trace and the sampler unsorted: exact ``tomo
   --target bell:2:1`` and with 1000 shots, and ``bell --target bell:3:1``
@@ -66,6 +71,8 @@ EXTRA = {
     "tomo-1000": ["tomo", "--target", "bell:1:2", "--shots", "1000"],
     "spectroscopy-3": ["spectroscopy", "--points", "3"],
     "witness-c4-blocks": ["witness", "--target", "c4", "--shots", "12295", "--emit-shots"],
+    "witness-w6-blocks": ["witness", "--target", "w6", "--shots", "4097", "--emit-shots"],
+    "witness-w10-50": ["witness", "--target", "w10", "--shots", "50"],
     "tomo-blocks": ["tomo", "--target", "bell:1:2", "--shots", "4097"],
     "tomo-reversed-exact": ["tomo", "--target", "bell:2:1"],
     "tomo-reversed-1000": ["tomo", "--target", "bell:2:1", "--shots", "1000"],
