@@ -196,8 +196,8 @@ def resonant_evolution(
     Acts on (bus, TLS j) only; every other qubit is untouched.  At
     t = tau_j = pi/(2 S_j) this is the full iSWAP: |1g> -> -i|0e>.
     """
-    if t < 0:
-        raise ProtocolError(f"window duration must be >= 0, got {t}")
+    if not (np.isfinite(t) and t >= 0):
+        raise ProtocolError(f"window duration must be finite and >= 0, got {t}")
     coupling = config.coupling(j)  # validates j
     gate = exchange_window_gate(coupling, t)
     return apply_unitary(state, gate, [0, j])

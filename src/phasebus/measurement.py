@@ -155,18 +155,28 @@ class ShotRecord:
 
     @classmethod
     def from_csv(cls, path) -> "ShotRecord":
-        """Load a shot file; raises ``ValueError`` on an entry other than
-        +-1 or a row whose width differs from the header's."""
+        """Load a shot file; raises ``ValueError`` on an empty file, a header
+        ``sample_shots`` would refuse (a column other than ``q<j>:<basis>``,
+        an unknown basis, a non-finite direction, qubits not distinct and
+        ascending), an entry other than +-1 or a row whose width differs
+        from the header's."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
+            if not header:
+                raise ValueError("shot file has no header")
             qubits, bases = [], []
             for col in header:
-                q, b = col.split(":", 1)
+                q, _, b = col.partition(":")
+                if not (q[:1] == "q" and q[1:].isdecimal() and b):
+                    raise ValueError(f"column header {col!r} is not q<j>:<basis>")
                 qubits.append(int(q[1:]))
                 if "/" in b:
                     b = tuple(float(a) for a in b.split("/"))
+                bloch_direction(b)
                 bases.append(b)
+            if qubits != sorted(set(qubits)):
+                raise ValueError(f"header qubits {qubits} are not distinct and ascending")
             patterns = []
             for line, row in enumerate(reader, start=2):
                 if len(row) != len(header):

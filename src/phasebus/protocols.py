@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import DeviceConfig, ProtocolError, exchange_window_gate
+from .device import DeviceConfig, ProtocolError, resonant_evolution
 from .paulis import SIGMA
 from .states import (
     StateVector,
@@ -67,13 +67,15 @@ class PulseSchedule:
         object.__setattr__(self, "steps", tuple(self.steps))
         for step in self.steps:
             if isinstance(step, ResonantWindow):
-                if step.duration < 0:
-                    raise ProtocolError(f"negative window duration {step.duration}")
+                if not (np.isfinite(step.duration) and step.duration >= 0):
+                    raise ProtocolError(f"bad window duration {step.duration}")
                 if step.tls < 1:
                     raise ProtocolError(f"bad TLS index {step.tls}")
             elif isinstance(step, BusRotation):
                 if step.axis not in ("x", "y", "z"):
                     raise ProtocolError(f"bad rotation axis {step.axis!r}")
+                if not np.isfinite(step.angle):
+                    raise ProtocolError(f"bad rotation angle {step.angle}")
 
     def __iter__(self):
         return iter(self.steps)
@@ -108,21 +110,24 @@ class PulseSchedule:
             if not line or line.startswith("#"):
                 continue
             op, *args = line.split()
-            kv = dict(a.split("=", 1) for a in args)
-            if op == "WINDOW":
-                if not kv["t"].endswith("ns"):
-                    raise ProtocolError(f"window duration needs ns suffix: {line!r}")
-                steps.append(
-                    ResonantWindow(int(kv["j"]), float(kv["t"][:-2]) * 1e-9)
-                )
-            elif op == "ROT":
-                steps.append(BusRotation(kv["axis"], float(kv["angle"])))
-            elif op == "RESET":
-                steps.append(BusReset())
-            elif op == "EXCITE":
-                steps.append(BusExcite())
-            else:
-                raise ProtocolError(f"unknown instruction {op!r}")
+            try:
+                kv = dict(a.split("=", 1) for a in args)
+                if op == "WINDOW":
+                    if not kv["t"].endswith("ns"):
+                        raise ProtocolError(f"window duration needs ns suffix: {line!r}")
+                    steps.append(
+                        ResonantWindow(int(kv["j"]), float(kv["t"][:-2]) * 1e-9)
+                    )
+                elif op == "ROT":
+                    steps.append(BusRotation(kv["axis"], float(kv["angle"])))
+                elif op == "RESET":
+                    steps.append(BusReset())
+                elif op == "EXCITE":
+                    steps.append(BusExcite())
+                else:
+                    raise ProtocolError(f"unknown instruction {op!r}")
+            except (KeyError, ValueError) as exc:
+                raise ProtocolError(f"malformed instruction {line!r}") from exc
         return cls(tuple(steps))
 
 
@@ -169,8 +174,7 @@ def execute_schedule(
         raise ProtocolError("state size does not match the configured register")
     for step in schedule:
         if isinstance(step, ResonantWindow):
-            gate = exchange_window_gate(config.coupling(step.tls), step.duration)
-            state = apply_unitary(state, gate, [0, step.tls])
+            state = resonant_evolution(state, step.tls, step.duration, config)
         elif isinstance(step, BusRotation):
             state = apply_unitary(state, bus_rotation_gate(step.axis, step.angle), [0])
         elif isinstance(step, BusReset):
@@ -222,18 +226,27 @@ class CorrectionReport:
     corrected_state: StateVector
 
 
-def _bus_ground_report(state: StateVector) -> tuple[bool, np.ndarray]:
-    rho_bus = partial_trace(state, [0])
+def _score(
+    schedule: PulseSchedule, final: StateVector, target: StateVector, profile_tls: int
+) -> ProtocolReport:
+    """Score a run against bus |0> x ``target`` on TLS 1..n x spectators |g>.
+
+    The profile lists |<0, g..e_j..g|final>| for TLS j = 1..profile_tls.
+    """
+    rho_bus = partial_trace(final, [0])
     ground_pop = float(np.real(rho_bus.matrix[0, 0]))
-    disentangled = (
-        rho_bus.purity() > 1.0 - DISENTANGLE_TOL
-        and ground_pop > 1.0 - DISENTANGLE_TOL
+    return ProtocolReport(
+        final_state=final,
+        target_fidelity=fidelity(final, _embed_tls_state(target, final.num_qubits - 1)),
+        bus_disentangled=(
+            rho_bus.purity() > 1.0 - DISENTANGLE_TOL
+            and ground_pop > 1.0 - DISENTANGLE_TOL
+        ),
+        amplitude_profile=np.array(
+            [abs(final.amplitudes[1 << j]) for j in range(1, profile_tls + 1)]
+        ),
+        schedule=schedule,
     )
-    n = state.num_qubits
-    profile = np.array(
-        [abs(state.amplitudes[1 << j]) for j in range(1, n)]
-    )  # |0, g..e_j..g> amplitudes
-    return disentangled, profile
 
 
 # W states and Bell pairs ----------------------------------------------------
@@ -298,24 +311,13 @@ def run_w_protocol(
 ) -> ProtocolReport:
     """Generate the N-TLS W state and score it against the ideal target."""
     schedule = w_schedule(config, n, mode)
-    final = execute_schedule(schedule, config)
-    target = _embed_tls_state(w_state(n), config.num_tls)
-    disentangled, profile = _bus_ground_report(final)
-    return ProtocolReport(
-        final_state=final,
-        target_fidelity=fidelity(final, target),
-        bus_disentangled=disentangled,
-        amplitude_profile=profile[:n],
-        schedule=schedule,
-    )
+    return _score(schedule, execute_schedule(schedule, config), w_state(n), n)
 
 
 def bell_schedule(config: DeviceConfig, j: int, k: int) -> PulseSchedule:
     """Half window on TLS j, full window on TLS k: a shared excitation."""
     if j == k:
         raise ProtocolError("Bell pair needs two distinct TLSs")
-    config.tls_params(j)
-    config.tls_params(k)
     return PulseSchedule(
         (
             BusExcite(),
@@ -336,28 +338,20 @@ def bell_state(num_tls: int, j: int, k: int) -> StateVector:
 def run_bell(config: DeviceConfig, j: int, k: int) -> ProtocolReport:
     schedule = bell_schedule(config, j, k)
     final = execute_schedule(schedule, config)
-    target = _embed_tls_state(bell_state(config.num_tls, j, k), config.num_tls)
-    disentangled, profile = _bus_ground_report(final)
-    return ProtocolReport(
-        final_state=final,
-        target_fidelity=fidelity(final, target),
-        bus_disentangled=disentangled,
-        amplitude_profile=profile,
-        schedule=schedule,
-    )
+    return _score(schedule, final, bell_state(config.num_tls, j, k), config.num_tls)
+
+
+def _tls_slice(n: int) -> slice:
+    """Register indices with the bus in |0>, TLS n+1.. in |g>: TLS 1..n."""
+    return slice(None, 2 ** (n + 1), 2)
 
 
 def _embed_tls_state(tls_state: StateVector, num_tls: int) -> StateVector:
-    """Tensor a TLS-register state with the bus in |0>."""
+    """Tensor a TLS 1..n state with the bus in |0> and spectators in |g>."""
     if tls_state.num_qubits > num_tls:
         raise ValueError("TLS state larger than register")
-    amps = tls_state.amplitudes
-    if tls_state.num_qubits < num_tls:
-        pad = np.zeros(2 ** (num_tls - tls_state.num_qubits), dtype=np.complex128)
-        pad[0] = 1.0
-        amps = np.kron(pad, amps)
     full = np.zeros(2 ** (num_tls + 1), dtype=np.complex128)
-    full[0::2] = amps  # bus bit 0 = ground
+    full[_tls_slice(tls_state.num_qubits)] = tls_state.amplitudes
     return StateVector(full)
 
 
@@ -366,8 +360,7 @@ def tls_register_state(state: StateVector, n: int) -> StateVector:
 
     Raises when the register carries weight outside that subspace.
     """
-    amps = state.amplitudes[0::2]  # bus-ground slice
-    sub = amps[: 2**n].copy()
+    sub = state.amplitudes[_tls_slice(n)].copy()
     norm = np.linalg.norm(sub)
     if norm < 1.0 - DISENTANGLE_TOL:
         raise ProtocolError("register is not confined to bus |0> and TLS 1..n")
@@ -438,7 +431,7 @@ _CORRECTION_LABELS = ("I", "Z^{pi/2}", "Z^{pi}", "Z^{3pi/2}")
 
 def _correction_search(final: StateVector, target_tls: StateVector, n: int):
     """Best per-TLS phase correction diag(1, i^k) maximizing the overlap
-    with bus|0> x target.
+    with bus|0> x target x spectators |g>.
 
     The overlap as a function of the per-qubit phase choices factorizes,
     so each TLS axis of the overlap tensor expands from (ground, excited)
@@ -448,18 +441,9 @@ def _correction_search(final: StateVector, target_tls: StateVector, n: int):
     4^(n-3) candidates are scored at once, never all 4^n.  Ties resolve to
     the first candidate in flat order.
     """
-    num_tls = final.num_qubits - 1
-    bus_ground = final.amplitudes[0::2]  # register amplitudes with bus in |0>
-    target = target_tls.amplitudes
-    if num_tls > n:
-        # spectator TLSs must sit in |g>; fold them into the overlap weights
-        keep = np.zeros(2 ** (num_tls - n), dtype=np.complex128)
-        keep[0] = 1.0
-        target = np.kron(keep, target)
-    w = np.conj(target) * bus_ground
-    t = w.reshape((2,) * num_tls)  # axis 0 = highest TLS, axis -1 = TLS 1
-    for _ in range(num_tls - n):
-        t = t.sum(axis=0)  # spectator axes carry no correction
+    # spectator TLSs must sit in |g>, so only the TLS 1..n slice overlaps
+    w = np.conj(target_tls.amplitudes) * final.amplitudes[_tls_slice(n)]
+    t = w.reshape((2,) * n)  # axis 0 = TLS n, axis -1 = TLS 1
     phases = np.array([1.0, 1.0j, -1.0, -1.0j])
     expand = np.stack([np.ones(4), phases], axis=1)
     tail = min(n, 3)
@@ -524,17 +508,7 @@ def run_cluster_protocol(
     best_variant = max(results, key=lambda v: results[v][2])
     _, best_final, best, labels, idx = results[best_variant]
     exponents = tuple(int(k) for k in idx)
-    req_sched, req_final = results[bus_init][0], results[bus_init][1]
-
-    target_full = _embed_tls_state(target, config.num_tls)
-    disentangled, profile = _bus_ground_report(req_final)
-    report = ProtocolReport(
-        final_state=req_final,
-        target_fidelity=fidelity(req_final, target_full),
-        bus_disentangled=disentangled,
-        amplitude_profile=profile,
-        schedule=req_sched,
-    )
+    report = _score(*results[bus_init][:2], target, config.num_tls)
     correction = CorrectionReport(
         best_fidelity=best,
         best_bus_init=best_variant,

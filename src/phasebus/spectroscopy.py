@@ -213,13 +213,20 @@ def _observed_crossings(bias, branches, gaps):
         i = int(np.argmin(gaps[:, k]))
         if i == 0 or i == len(bias) - 1:
             return None
-        near = slice(i - 1, i + 2)
-        center, gaps_out[k] = _refine_gap_minimum(bias[near], gaps[near, k])
+        _, gaps_out[k], freqs_out[k] = _refined_crossing(bias, branches, gaps, k, i)
         if not (np.isfinite(gaps_out[k]) and gaps_out[k] > 0):
             return None
-        mid = 0.5 * (branches[near, k] + branches[near, k + 1])
-        freqs_out[k] = np.interp(center, bias[near], mid)
     return gaps_out, freqs_out
+
+
+def _refined_crossing(bias, branches, gaps, k, i):
+    """(center bias, splitting, frequency) of the crossing of branches k and
+    k+1 whose gap (column k of ``gaps``) dips at row i, from rows i-1..i+1:
+    the refined gap minimum and the branch midline interpolated there."""
+    near = slice(i - 1, i + 2)
+    center, splitting = _refine_gap_minimum(bias[near], gaps[near, k])
+    mid = 0.5 * (branches[near, k] + branches[near, k + 1])
+    return center, splitting, float(np.interp(center, bias[near], mid))
 
 
 def _refine_gap_minimum(bias3, gap3):
@@ -295,15 +302,9 @@ def extract_tls_parameters(scan: SpectroscopyScan) -> list[AvoidedCrossing]:
             continue
         if not _is_prominent(gap, i, lo):
             continue
-        center, splitting = _refine_gap_minimum(
-            bias[i - 1 : i + 2], gap[i - 1 : i + 2]
-        )
+        center, splitting, crossing_freq = _refined_crossing(bias, freqs, gaps, col, i)
         if not lo <= splitting <= hi:
             continue
-        mid = 0.5 * (freqs[:, col] + freqs[:, col + 1])
-        lo_i, hi_i = (i - 1, i) if center <= bias[i] else (i, i + 1)
-        frac = (center - bias[lo_i]) / (bias[hi_i] - bias[lo_i])
-        crossing_freq = float(mid[lo_i] + frac * (mid[hi_i] - mid[lo_i]))
         found.append(AvoidedCrossing(center, splitting, crossing_freq))
 
     found.sort(key=lambda c: c.tls_frequency)

@@ -60,9 +60,9 @@ class DensityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
         scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.conj().T).max() > 1e-10 * scale:
+        if not np.abs(m - m.conj().T).max() <= 1e-10 * scale:
             raise ValueError("density matrix is not Hermitian")
-        if abs(m.trace() - 1.0) > 1e-9:
+        if not abs(m.trace() - 1.0) <= 1e-9:
             raise ValueError(f"density matrix trace {m.trace():.3g} != 1")
         self.matrix = m
 
@@ -159,7 +159,7 @@ def apply_unitary(state: StateVector, gate: np.ndarray, targets) -> StateVector:
     gate = np.asarray(gate, dtype=np.complex128)
     if gate.shape != (2**m, 2**m):
         raise ValueError(f"gate shape {gate.shape} does not match {m} targets")
-    if np.abs(gate @ gate.conj().T - np.eye(2**m)).max() > 1e-12:
+    if not np.abs(gate @ gate.conj().T - np.eye(2**m)).max() <= 1e-12:
         raise ValueError("gate is not unitary within 1e-12")
 
     return join_qubit_rows(gate @ qubit_rows(state, targets), targets)
@@ -179,8 +179,10 @@ def evolve(state: StateVector, generator: np.ndarray, t: float) -> StateVector:
     if h.shape != (d, d):
         raise ValueError(f"generator shape {h.shape} does not match dim {d}")
     scale = max(1.0, float(np.abs(h).max()))
-    if np.abs(h - h.conj().T).max() > 1e-12 * scale:
+    if not np.abs(h - h.conj().T).max() <= 1e-12 * scale:
         raise ValueError("generator is not Hermitian")
+    if not np.isfinite(t):
+        raise ValueError(f"evolution time {t} is not finite")
     w, v = np.linalg.eigh(h)
     phases = np.exp(-1j * w * t)
     if real:
@@ -252,6 +254,8 @@ def expectation(state: StateVector, op) -> float:
             val += coeff * np.vdot(
                 state.amplitudes, apply_pauli(pauli, state).amplitudes
             )
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
+    if not np.isfinite(val):
+        raise ValueError(f"expectation {val} is not finite")
+    if not abs(val.imag) <= 1e-10 * max(1.0, abs(val.real)):
         raise ValueError(f"expectation has imaginary part {val.imag:.3g}")
     return float(val.real)

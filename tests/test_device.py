@@ -163,6 +163,11 @@ class TestResonantEvolution:
         with pytest.raises(ProtocolError):
             resonant_evolution(basis_state("0ggg"), 1, -1.0, config3)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_duration_rejected(self, config3, t):
+        with pytest.raises(ProtocolError, match="finite"):
+            resonant_evolution(basis_state("0ggg"), 1, t, config3)
+
     def test_bad_tls_index(self, config3):
         with pytest.raises(ProtocolError):
             resonant_evolution(basis_state("0ggg"), 4, 1e-9, config3)

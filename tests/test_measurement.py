@@ -307,6 +307,37 @@ class TestSampleShots:
         with pytest.raises(ValueError, match="line 3: 3 entries, header has 2"):
             ShotRecord.from_csv(path)
 
+    @pytest.mark.parametrize(
+        "header, match",
+        [
+            ("x1:z", "not q<j>:<basis>"),
+            ("1:z", "not q<j>:<basis>"),
+            ("q-1:z", "not q<j>:<basis>"),
+            ("q1", "not q<j>:<basis>"),
+            ("q1:", "not q<j>:<basis>"),
+            ("q1:w", "unknown basis"),
+            ("q1:0.5", "unknown basis"),
+            ("q1:nan/0", "not finite"),
+            ("q1:0/inf", "not finite"),
+            ("q1:a/0", "could not convert"),
+            ("q1:z,q1:x", "distinct and ascending"),
+            ("q2:z,q1:z", "distinct and ascending"),
+        ],
+    )
+    def test_csv_rejects_header_sample_shots_refuses(self, tmp_path, header, match):
+        path = tmp_path / "shots.csv"
+        width = header.count(",") + 1
+        path.write_text(header + "\n" + ",".join(["1"] * width) + "\n")
+        with pytest.raises(ValueError, match=match):
+            ShotRecord.from_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "\n"])
+    def test_csv_rejects_empty_file(self, tmp_path, text):
+        path = tmp_path / "shots.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="no header"):
+            ShotRecord.from_csv(path)
+
 
 def shot_values(setting, outcomes):
     """Oracle for ``_value_table``: apply a setting's rule shot by shot to a

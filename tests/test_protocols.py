@@ -10,10 +10,14 @@ from phasebus.protocols import (
     BUS_INIT_GROUND,
     BUS_INIT_PLUS,
     BusExcite,
+    BusRotation,
     PulseSchedule,
     ResonantWindow,
     _correction_search,
+    _embed_tls_state,
     apply_phase_corrections,
+    bell_schedule,
+    bell_state,
     bus_rotation_gate,
     cluster_sequence,
     cluster_state,
@@ -22,7 +26,9 @@ from phasebus.protocols import (
     run_bell,
     run_cluster_protocol,
     run_w_protocol,
+    tls_register_state,
     w_schedule,
+    w_state,
     w_state_times,
 )
 from phasebus.states import (
@@ -374,19 +380,21 @@ def assert_matches_brute_force(final, target, n):
 
 
 class TestCorrectionSearch:
-    @pytest.mark.parametrize("spectators", [0, 1, 2])
+    @pytest.mark.parametrize("spectators", [0, 1, 2, 3])
     @pytest.mark.parametrize("n", range(2, 7))
     def test_random_states_match_brute_force(self, n, spectators):
+        # the spectator-free slice scores exactly what the dense oracle's
+        # kron padding and spectator-axis sums score
         rng = np.random.default_rng(200 + 10 * n + spectators)
         for _ in range(3):
             size = 2 ** (n + 1 + spectators)
             psi = rng.normal(size=size) + 1j * rng.normal(size=size)
             target = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-            assert_matches_brute_force(
-                StateVector(psi / np.linalg.norm(psi)),
-                StateVector(target / np.linalg.norm(target)),
-                n,
-            )
+            final = StateVector(psi / np.linalg.norm(psi))
+            target = StateVector(target / np.linalg.norm(target))
+            got = _correction_search(final, target, n)
+            assert got == dense_correction_search(final, target, n)
+            assert got[1:] == brute_force_correction_search(final, target, n)[1:]
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_all_ground_ties_resolve_to_identity(self, n):
@@ -453,3 +461,139 @@ class TestSpectatorInvariance:
         assert abs(rho.matrix[0, 0] - 1.0) < 1e-12
         rho5 = partial_trace(rep.final_state, [5])
         assert abs(rho5.matrix[0, 0] - 1.0) < 1e-12
+
+
+def kron_embed_tls_state(tls_state, num_tls):
+    """Oracle for ``_embed_tls_state``: kron-pad the TLS 1..n state with
+    spectator |g> factors, then interleave it with the bus in |0>."""
+    amps = tls_state.amplitudes
+    if tls_state.num_qubits < num_tls:
+        pad = np.zeros(2 ** (num_tls - tls_state.num_qubits), dtype=np.complex128)
+        pad[0] = 1.0
+        amps = np.kron(pad, amps)
+    full = np.zeros(2 ** (num_tls + 1), dtype=np.complex128)
+    full[0::2] = amps
+    return StateVector(full)
+
+
+def same_bits(a, b):
+    """Equal arrays bit for bit, except that kron's zero padding may carry
+    -0.0 where a zero-filled array holds +0.0; adding 0.0 clears only that."""
+    return a.dtype == b.dtype and (a + 0.0).tobytes() == (b + 0.0).tobytes()
+
+
+def random_tls_states(rng, n):
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    states = [StateVector(amps / np.linalg.norm(amps)), w_state(n)]
+    return states + ([cluster_state(n)] if n > 1 else [])
+
+
+class TestTlsSlice:
+    @pytest.mark.parametrize("num_tls", range(1, 7))
+    def test_embed_matches_kron_padding(self, num_tls):
+        rng = np.random.default_rng(300 + num_tls)
+        for n in range(1, num_tls + 1):
+            for target in random_tls_states(rng, n):
+                got = _embed_tls_state(target, num_tls).amplitudes
+                assert same_bits(got, kron_embed_tls_state(target, num_tls).amplitudes)
+
+    @pytest.mark.parametrize("num_tls", range(1, 7))
+    def test_register_state_reads_the_embedded_slice(self, num_tls):
+        rng = np.random.default_rng(320 + num_tls)
+        for n in range(1, num_tls + 1):
+            for target in random_tls_states(rng, n):
+                full = _embed_tls_state(target, num_tls)
+                got = tls_register_state(full, n).amplitudes
+                want = target.amplitudes / np.linalg.norm(target.amplitudes)
+                assert got.tobytes() == want.tobytes()
+
+    def test_embed_rejects_target_larger_than_register(self):
+        with pytest.raises(ValueError, match="larger"):
+            _embed_tls_state(w_state(4), 3)
+
+
+def assembled_report(final, target_tls, num_tls):
+    """Oracle for the runners' scoring: the kron-padded target's fidelity,
+    the bus purity and ground population, and |0, g..e_j..g> for every TLS."""
+    fid = fidelity(final, kron_embed_tls_state(target_tls, num_tls))
+    rho_bus = partial_trace(final, [0])
+    ground_pop = float(np.real(rho_bus.matrix[0, 0]))
+    disentangled = rho_bus.purity() > 1.0 - 1e-9 and ground_pop > 1.0 - 1e-9
+    profile = np.array([abs(final.amplitudes[1 << j]) for j in range(1, num_tls + 1)])
+    return fid, disentangled, profile
+
+
+class TestReportsMatchAssembly:
+    """Each runner's report equals the per-runner assembly it replaced, bit
+    for bit, on the demo device."""
+
+    @pytest.fixture(scope="class")
+    def demo(self):
+        return load_config(DEMO_CONFIG)
+
+    def assert_report(self, report, config, schedule, target_tls, profile_len):
+        final = execute_schedule(schedule, config)
+        fid, disentangled, profile = assembled_report(final, target_tls, config.num_tls)
+        assert report.schedule == schedule
+        assert report.final_state.amplitudes.tobytes() == final.amplitudes.tobytes()
+        assert report.target_fidelity == fid
+        assert report.bus_disentangled is disentangled
+        assert report.amplitude_profile.tobytes() == profile[:profile_len].tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_w(self, demo, n):
+        report = run_w_protocol(demo, n)
+        self.assert_report(report, demo, w_schedule(demo, n), w_state(n), n)
+
+    def test_w_paper_n3(self, demo):
+        report = run_w_protocol(demo, 3, mode="paper-n3")
+        self.assert_report(report, demo, w_schedule(demo, 3, "paper-n3"), w_state(3), 3)
+
+    @pytest.mark.parametrize("j, k", [(1, 2), (3, 1), (2, 7), (9, 10)])
+    def test_bell(self, demo, j, k):
+        report = run_bell(demo, j, k)
+        target = bell_state(demo.num_tls, j, k)
+        self.assert_report(report, demo, bell_schedule(demo, j, k), target, demo.num_tls)
+
+    @pytest.mark.parametrize("bus_init", [BUS_INIT_GROUND, BUS_INIT_PLUS])
+    @pytest.mark.parametrize("n", [2, 3, 6, 10])
+    def test_cluster(self, demo, n, bus_init):
+        report, correction = run_cluster_protocol(demo, n, bus_init)
+        schedule = cluster_sequence(demo, n, bus_init)
+        self.assert_report(report, demo, schedule, cluster_state(n), demo.num_tls)
+        assert correction.uncorrected_fidelity == report.target_fidelity
+
+
+class TestScheduleBoundary:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_window_and_angle(self, bad):
+        with pytest.raises(ProtocolError, match="window duration"):
+            PulseSchedule((ResonantWindow(1, bad),))
+        with pytest.raises(ProtocolError, match="rotation angle"):
+            PulseSchedule((BusRotation("x", bad),))
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_text_rejects_non_finite_values(self, config3, text):
+        with pytest.raises(ProtocolError, match="window duration"):
+            PulseSchedule.from_text(f"WINDOW j=1 t={text}ns\n")
+        with pytest.raises(ProtocolError, match="rotation angle"):
+            PulseSchedule.from_text(f"ROT axis=y angle={text}\n")
+
+    @pytest.mark.parametrize(
+        "line",
+        ["WINDOW t=1ns", "WINDOW j=x t=1ns", "WINDOW j=1", "WINDOW j=1 t=abcns",
+         "ROT axis=x", "ROT angle=1.0", "ROT axis=x angle=pi", "RESET now"],
+    )
+    def test_text_rejects_malformed_instruction(self, line):
+        with pytest.raises(ProtocolError, match="malformed instruction"):
+            PulseSchedule.from_text(line + "\n")
+
+    def test_text_still_names_missing_ns_suffix(self):
+        with pytest.raises(ProtocolError, match="ns suffix"):
+            PulseSchedule.from_text("WINDOW j=1 t=1\n")
+
+    @pytest.mark.parametrize("j, k", [(0, 2), (2, 4), (4, 1)])
+    def test_bell_schedule_rejects_tls_outside_register(self, config3, j, k):
+        bad = j if not 1 <= j <= 3 else k
+        with pytest.raises(ProtocolError, match=f"TLS index {bad} out of range"):
+            bell_schedule(config3, j, k)

@@ -344,3 +344,39 @@ class TestDensityMatrix:
         s = ground_register(4)
         assert s.num_qubits == 5
         assert s.amplitudes[0] == 1.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+class TestNonFiniteRejected:
+    """Each tolerance check fails closed: a NaN or infinite input raises
+    instead of comparing False against its tolerance."""
+
+    def test_apply_unitary_gate(self, bad):
+        with pytest.raises(ValueError, match="unitary"):
+            apply_unitary(ground_register(3), np.full((2, 2), bad), [0])
+        with pytest.raises(ValueError, match="unitary"):
+            apply_unitary(ground_register(3), np.diag([1.0, bad]), [2])
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_evolve_generator(self, bad, dtype):
+        with pytest.raises(ValueError, match="Hermitian"):
+            evolve(ground_register(1), np.full((4, 4), bad, dtype=dtype), 1.0)
+        with pytest.raises(ValueError, match="Hermitian"):
+            evolve(ground_register(1), np.diag([0.0, 1.0, bad, 2.0]).astype(dtype), 1.0)
+
+    def test_evolve_time(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            evolve(ground_register(1), np.eye(4), bad)
+
+    def test_density_matrix(self, bad):
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(np.full((2, 2), bad))
+        with pytest.raises(ValueError, match="Hermitian|trace"):
+            DensityMatrix(np.diag([bad, 0.0]))
+
+    def test_expectation(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            expectation(StateVector(np.array([bad, 0.0])), PauliString("Z"))
+        with pytest.raises(ValueError, match="not finite"):
+            expectation(basis_state("0"), [(bad, PauliString("Z"))])

@@ -29,6 +29,10 @@ commands are:
 - targets listed in descending qubit order, which reach the gate
   calculus, the partial trace and the sampler unsorted: exact ``tomo
   --target bell:2:1`` and with 1000 shots, and ``bell --target bell:3:1``
+- protocol runs where most TLSs are spectators in |g>, which the
+  TLS-register slice and the correction search skip: ``cluster --n 2
+  --search-corrections``, ``w-state --n 1``, ``bell --target bell:9:10``
+  and ``tomo --target bell:3:7`` with 1000 shots
 - every command the lists above leave out, since each command handler
   imports its own layers: ``rwa-check --tls 1``, ``w-state --n 3 --mode
   paper-n3``, ``cluster --n 4 --bus-init ground`` and exact ``witness`` c4;
@@ -77,6 +81,10 @@ EXTRA = {
     "tomo-reversed-exact": ["tomo", "--target", "bell:2:1"],
     "tomo-reversed-1000": ["tomo", "--target", "bell:2:1", "--shots", "1000"],
     "bell-reversed": ["bell", "--target", "bell:3:1"],
+    "cluster-2-search": ["cluster", "--n", "2", "--search-corrections"],
+    "w-state-1": ["w-state", "--n", "1"],
+    "bell-9-10": ["bell", "--target", "bell:9:10"],
+    "tomo-3-7-1000": ["tomo", "--target", "bell:3:7", "--shots", "1000"],
     "rwa-check-1": ["rwa-check", "--tls", "1"],
     "w-state-3-paper": ["w-state", "--n", "3", "--mode", "paper-n3"],
     "cluster-4-ground": ["cluster", "--n", "4", "--bus-init", "ground"],
