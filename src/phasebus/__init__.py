@@ -55,7 +55,6 @@ _SUBMODULE_EXPORTS = {
         "run_w_protocol",
         "tls_register_state",
         "w_schedule",
-        "w_state",
         "w_state_times",
     ),
     "spectroscopy": (
@@ -76,6 +75,7 @@ _SUBMODULE_EXPORTS = {
         "fidelity",
         "ground_register",
         "partial_trace",
+        "w_state",
     ),
     "witnesses": (
         "MeasurementSetting",

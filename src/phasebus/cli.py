@@ -116,14 +116,12 @@ def _manifest(args, extra: dict) -> dict:
 
 def _cmd_w_state(args, config: DeviceConfig) -> Report:
     from .protocols import run_w_protocol
-    from .states import partial_trace
 
     rep = run_w_protocol(config, args.n, args.mode)
     report = Report(_manifest(args, {"n": args.n, "mode": args.mode}))
     report.add("target_fidelity", rep.target_fidelity)
     report.add("bus_disentangled", rep.bus_disentangled)
-    rho_bus = partial_trace(rep.final_state, [0])
-    report.add("bus_ground_population", float(np.real(rho_bus.matrix[0, 0])))
+    report.add("bus_ground_population", rep.bus_ground_population)
     for j, mag in enumerate(rep.amplitude_profile, start=1):
         report.add(f"excitation_amplitude_{j}", float(mag))
     report.attach_text("schedule.txt", rep.schedule.to_text())

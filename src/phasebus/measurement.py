@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import hashlib
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -208,20 +209,17 @@ def _conditional_tables(probs: np.ndarray) -> list[np.ndarray]:
     the highest bit.  That is exactly the bus marginal the physical
     transfer sequence sees after collapsing the earlier reads.
     """
-    m = probs.ndim
-    # marginals[k] = joint distribution of the first k+1 measured qubits
-    marginals = [None] * m
-    cur = probs
-    for k in reversed(range(m)):
-        marginals[k] = cur
-        cur = cur.sum(axis=k)
+    # marginals[k] = joint distribution of the first k measured qubits, so
+    # each one is the denominator of the next one's conditional table
+    marginals = [probs]
+    for k in reversed(range(probs.ndim)):
+        marginals.insert(0, marginals[0].sum(axis=k))
 
     tables = []
-    for k in range(m):
-        joint = marginals[k].reshape(-1, 2)  # rows indexed by outcome prefix
-        denom = joint.sum(axis=1)
+    for prefix, joint in zip(marginals, marginals[1:]):
+        denom = prefix.reshape(-1)  # indexed by outcome prefix
         safe = np.where(denom > 0, denom, 1.0)
-        t = np.where(denom > 0, joint[:, 1] / safe, 0.0)
+        t = np.where(denom > 0, joint.reshape(-1, 2)[:, 1] / safe, 0.0)
         t = np.where(t > 1 - ZERO_BRANCH_TOL, 1.0, t)
         tables.append(np.where(t < ZERO_BRANCH_TOL, 0.0, t))
     return tables
@@ -414,38 +412,29 @@ def tomography_two_qubit(
     e[0, 0] = 1.0
     if exact:
         n = state.num_qubits
-        for a in range(4):
-            for b in range(4):
-                if a == b == 0:
-                    continue
-                labels = ["I"] * n
-                labels[j] = _AXES[a]
-                labels[k] = _AXES[b]
-                weight = (a != 0) + (b != 0)
-                e[a, b] = expectation(state, PauliString("".join(labels)))
-                e[a, b] *= bias**weight
+        for a, b in list(product(range(4), repeat=2))[1:]:  # <II> = 1, set above
+            labels = ["I"] * n
+            labels[j] = _AXES[a]
+            labels[k] = _AXES[b]
+            weight = (a != 0) + (b != 0)
+            e[a, b] = expectation(state, PauliString("".join(labels)))
+            e[a, b] *= bias**weight
     else:
-        qubits = sorted((j, k))
-        signs = _pattern_outcomes(np.arange(4), 2)  # +-1 per pattern and column
-        sign_j = signs[:, qubits.index(j)]
-        sign_k = signs[:, qubits.index(k)]
-        sum_j = {1: 0, 2: 0, 3: 0}
-        sum_k = {1: 0, 2: 0, 3: 0}
-        for a in (1, 2, 3):
-            for b in (1, 2, 3):
-                rng = derive_rng(readout.seed, f"tomo-{_AXES[a]}{_AXES[b]}")
-                basis_by_qubit = {j: _AXES[a].lower(), k: _AXES[b].lower()}
-                record = sample_shots(
-                    state, qubits, [basis_by_qubit[q] for q in qubits],
-                    shots_per_setting, readout, rng,
-                )
-                counts = np.bincount(record.patterns, minlength=4)
-                e[a, b] = int(counts @ (sign_j * sign_k)) / shots_per_setting
-                sum_j[a] += int(counts @ sign_j)
-                sum_k[b] += int(counts @ sign_k)
-        for a in (1, 2, 3):
-            e[a, 0] = sum_j[a] / (3 * shots_per_setting)
-            e[0, a] = sum_k[a] / (3 * shots_per_setting)
+        order = 1 if j < k else -1  # read in ascending qubit order
+        signs = _pattern_outcomes(np.arange(4), 2)[:, ::order]  # columns j, k
+        for a, b in product((1, 2, 3), repeat=2):
+            rng = derive_rng(readout.seed, f"tomo-{_AXES[a]}{_AXES[b]}")
+            bases = [_AXES[a].lower(), _AXES[b].lower()][::order]
+            record = sample_shots(
+                state, [j, k][::order], bases, shots_per_setting, readout, rng
+            )
+            counts = np.bincount(record.patterns, minlength=4)
+            e[a, b] = int(counts @ (signs[:, 0] * signs[:, 1])) / shots_per_setting
+            # pooled single-qubit sums: integers, exact in float below 2^53
+            e[a, 0] += int(counts @ signs[:, 0])
+            e[0, b] += int(counts @ signs[:, 1])
+        e[1:, 0] /= 3 * shots_per_setting
+        e[0, 1:] /= 3 * shots_per_setting
 
     rho = np.zeros((4, 4), dtype=np.complex128)
     for a in range(4):

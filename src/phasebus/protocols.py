@@ -23,6 +23,7 @@ from .states import (
     join_qubit_rows,
     partial_trace,
     qubit_rows,
+    w_state,
 )
 
 DISENTANGLE_TOL = 1e-9
@@ -69,13 +70,17 @@ class PulseSchedule:
             if isinstance(step, ResonantWindow):
                 if not (np.isfinite(step.duration) and step.duration >= 0):
                     raise ProtocolError(f"bad window duration {step.duration}")
-                if step.tls < 1:
+                # bool is an int subclass, but "WINDOW j=True" cannot be read back
+                is_int = isinstance(step.tls, (int, np.integer)) and not isinstance(step.tls, bool)
+                if not (is_int and step.tls >= 1):
                     raise ProtocolError(f"bad TLS index {step.tls}")
             elif isinstance(step, BusRotation):
                 if step.axis not in ("x", "y", "z"):
                     raise ProtocolError(f"bad rotation axis {step.axis!r}")
                 if not np.isfinite(step.angle):
                     raise ProtocolError(f"bad rotation angle {step.angle}")
+            elif not isinstance(step, (BusReset, BusExcite)):
+                raise ProtocolError(f"unknown instruction {step!r}")
 
     def __iter__(self):
         return iter(self.steps)
@@ -159,19 +164,9 @@ def bus_rotation_gate(axis: str, angle: float) -> np.ndarray:
     return np.cos(half) * np.eye(2) - 1j * np.sin(half) * SIGMA[axis.upper()]
 
 
-def execute_schedule(
-    schedule: PulseSchedule,
-    config: DeviceConfig,
-    state: StateVector | None = None,
-) -> StateVector:
-    """Run a generation schedule deterministically.
-
-    Starts from |0, g, ..., g> unless an initial state is given.
-    """
-    if state is None:
-        state = ground_register(config.num_tls)
-    if state.num_qubits != config.num_qubits:
-        raise ProtocolError("state size does not match the configured register")
+def execute_schedule(schedule: PulseSchedule, config: DeviceConfig) -> StateVector:
+    """Run a generation schedule deterministically from |0, g, ..., g>."""
+    state = ground_register(config.num_tls)
     for step in schedule:
         if isinstance(step, ResonantWindow):
             state = resonant_evolution(state, step.tls, step.duration, config)
@@ -179,10 +174,8 @@ def execute_schedule(
             state = apply_unitary(state, bus_rotation_gate(step.axis, step.angle), [0])
         elif isinstance(step, BusReset):
             state = reset_bus(state)
-        elif isinstance(step, BusExcite):
+        else:  # BusExcite: PulseSchedule admits no other instruction
             state = apply_unitary(state, SIGMA["X"], [0])
-        else:
-            raise ProtocolError(f"unknown instruction {step!r}")
     return state
 
 
@@ -194,6 +187,7 @@ class ProtocolReport:
     final_state: StateVector
     target_fidelity: float
     bus_disentangled: bool
+    bus_ground_population: float
     amplitude_profile: np.ndarray
     schedule: PulseSchedule
 
@@ -242,6 +236,7 @@ def _score(
             rho_bus.purity() > 1.0 - DISENTANGLE_TOL
             and ground_pop > 1.0 - DISENTANGLE_TOL
         ),
+        bus_ground_population=ground_pop,
         amplitude_profile=np.array(
             [abs(final.amplitudes[1 << j]) for j in range(1, profile_tls + 1)]
         ),
@@ -250,16 +245,6 @@ def _score(
 
 
 # W states and Bell pairs ----------------------------------------------------
-
-
-def w_state(num_qubits: int) -> StateVector:
-    """|W_N> with equal positive amplitudes, one excitation shared by all."""
-    if num_qubits < 1:
-        raise ValueError("need at least one qubit")
-    amps = np.zeros(2**num_qubits, dtype=np.complex128)
-    for k in range(num_qubits):
-        amps[1 << k] = 1.0 / np.sqrt(num_qubits)
-    return StateVector(amps)
 
 
 def w_state_times(n: int, couplings) -> list[float]:

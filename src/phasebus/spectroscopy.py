@@ -114,14 +114,11 @@ def synth_spectroscopy(config: DeviceConfig, bias_grid) -> SpectroscopyScan:
     if np.any(bias <= 0) or np.any(bias >= 0.999):
         raise ValueError("bias values must lie in (0, 0.999) of critical current")
 
-    f_tls = np.array([t.frequency_hz for t in config.tls])
-    gaps = np.array([t.splitting_hz for t in config.tls])
+    # DeviceConfig keeps its TLSs in ascending frequency order
+    target_f = np.array([t.frequency_hz for t in config.tls])
+    target_gap = np.array([t.splitting_hz for t in config.tls])
 
     fq = bare_bus_frequency(bias, config.bias_model.omega_p0)
-
-    order = np.argsort(f_tls)
-    target_f = f_tls[order]
-    target_gap = gaps[order]
 
     # calibrate internal level positions and couplings until every
     # synthesized crossing shows its configured splitting and frequency:
@@ -238,15 +235,13 @@ def _refine_gap_minimum(bias3, gap3):
     x = np.asarray(bias3, dtype=float)
     y = np.asarray(gap3, dtype=float) ** 2
     a, b, c = np.polyfit(x, y, 2)
-    if a <= 0:  # degenerate fit: fall back to the sampled minimum
-        k = int(np.argmin(y))
-        return float(x[k]), float(np.sqrt(y[k]))
-    xv = -b / (2 * a)
-    yv = c - b**2 / (4 * a)
-    if not x.min() <= xv <= x.max():
-        k = int(np.argmin(y))
-        return float(x[k]), float(np.sqrt(y[k]))
-    return float(xv), float(np.sqrt(max(yv, 0.0)))
+    if a > 0:
+        xv = -b / (2 * a)
+        if x.min() <= xv <= x.max():
+            return float(xv), float(np.sqrt(max(c - b**2 / (4 * a), 0.0)))
+    # degenerate fit or vertex outside the samples: the sampled minimum
+    k = int(np.argmin(y))
+    return float(x[k]), float(np.sqrt(y[k]))
 
 
 def _is_prominent(gap: np.ndarray, i: int, depth: float) -> bool:
@@ -274,7 +269,8 @@ def extract_tls_parameters(scan: SpectroscopyScan) -> list[AvoidedCrossing]:
     A candidate minimum must be a genuine dip: the gap has to rise by at
     least the lower detection-band edge on both sides (shallower features
     are below the smallest detectable splitting).  Each minimum needs three
-    bracketing bias points; sparser features are skipped with a warning.
+    bracketing bias points, so an edge point is skipped, with a warning when
+    it is its column's lowest gap.
     Crossings landing closer than one grid step in bias are merged (keeping
     the first) with a warning.  Results are sorted by crossing frequency and
     filtered to the detection band.
@@ -294,11 +290,14 @@ def extract_tls_parameters(scan: SpectroscopyScan) -> list[AvoidedCrossing]:
     for col, i in zip(cols.tolist(), rows.tolist()):
         gap = gaps[:, col]
         if i == 0 or i == len(bias) - 1:
-            warnings.warn(
-                f"gap minimum at scan edge (bias {bias[i]:.4g}) lacks a "
-                "three-point bracket; crossing omitted",
-                stacklevel=2,
-            )
+            # only a column whose lowest gap is at the edge has lost its
+            # crossing (as in _observed_crossings), not one falling toward it
+            if i == int(np.argmin(gap)):
+                warnings.warn(
+                    f"gap minimum at scan edge (bias {bias[i]:.4g}) lacks a "
+                    "three-point bracket; crossing omitted",
+                    stacklevel=2,
+                )
             continue
         if not _is_prominent(gap, i, lo):
             continue

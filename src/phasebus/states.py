@@ -100,6 +100,15 @@ def basis_state(labels) -> StateVector:
     return StateVector(amps)
 
 
+def w_state(num_qubits: int) -> StateVector:
+    """|W_N> = sum_k |1_k> / sqrt(N), one excitation shared evenly."""
+    if num_qubits < 1:
+        raise ValueError("need at least one qubit")
+    amps = np.zeros(2**num_qubits, dtype=np.complex128)
+    amps[1 << np.arange(num_qubits)] = 1.0 / np.sqrt(num_qubits)
+    return StateVector(amps)
+
+
 def ground_register(num_tls: int) -> StateVector:
     """|0> on the bus and |g> on every TLS."""
     return basis_state([0] * (num_tls + 1))

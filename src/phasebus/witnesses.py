@@ -19,7 +19,7 @@ from math import comb, isfinite, pi, sqrt
 import numpy as np
 
 from .paulis import PauliString, pauli_mul, pauli_sum_matrix
-from .states import StateVector, expectation
+from .states import StateVector, expectation, w_state
 
 # Bloch direction (theta, phi) of each basis a single qubit can be read in:
 # the plain Pauli axes and the four diagonal combinations used by the
@@ -126,10 +126,8 @@ def w_witness(n: int) -> WitnessOperator:
 
 
 def _w_projector(n: int) -> tuple[float, StateVector]:
-    """((N-1)/N, |W_N>), |W_N> = sum_i |1_i> / sqrt(N)."""
-    amplitudes = np.zeros(2**n, dtype=complex)
-    amplitudes[1 << np.arange(n)] = 1.0 / sqrt(n)
-    return (n - 1) / n, StateVector(amplitudes)
+    """((N-1)/N, |W_N>)."""
+    return (n - 1) / n, w_state(n)
 
 
 def _w_coefficients(n: int) -> tuple[list[float], float]:

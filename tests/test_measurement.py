@@ -5,12 +5,17 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import simple_config
+from conftest import DEMO_CONFIG, simple_config
+from phasebus.config_io import load_config
 from phasebus.device import ProtocolError, iswap
 from phasebus.measurement import (
+    _AXES,
     _SHOT_BLOCK,
+    ZERO_BRANCH_TOL,
     ReadoutModel,
     ShotRecord,
+    _conditional_tables,
+    _pattern_outcomes,
     _value_table,
     derive_rng,
     estimate_witness_sampled,
@@ -19,14 +24,14 @@ from phasebus.measurement import (
     sample_shots,
     tomography_two_qubit,
 )
-from phasebus.paulis import SIGMA
+from phasebus.paulis import SIGMA, PauliString
 from phasebus.protocols import (
     reset_bus,
     run_bell,
     run_cluster_protocol,
     run_w_protocol,
 )
-from phasebus.states import StateVector, _measured_probabilities, basis_state
+from phasebus.states import StateVector, _measured_probabilities, basis_state, expectation
 from phasebus.witnesses import (
     cluster_witness,
     group_settings,
@@ -523,3 +528,108 @@ class TestTomography:
             state, 2, 1, 1500, ReadoutModel(1.0, 4), target=self._bell_target()
         )
         assert res.fidelity_vs_target > 0.9
+
+
+def two_sum_tables(probs):
+    """Oracle: the conditional tables with each prefix denominator summed
+    again from the next marginal, as the sampler once computed them."""
+    m = probs.ndim
+    marginals = [None] * m
+    cur = probs
+    for k in reversed(range(m)):
+        marginals[k] = cur
+        cur = cur.sum(axis=k)
+    tables = []
+    for k in range(m):
+        joint = marginals[k].reshape(-1, 2)
+        denom = joint.sum(axis=1)
+        safe = np.where(denom > 0, denom, 1.0)
+        t = np.where(denom > 0, joint[:, 1] / safe, 0.0)
+        t = np.where(t > 1 - ZERO_BRANCH_TOL, 1.0, t)
+        tables.append(np.where(t < ZERO_BRANCH_TOL, 0.0, t))
+    return tables
+
+
+class TestConditionalTablesOracle:
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_equal_bit_for_bit(self, m):
+        rng = np.random.default_rng(900 + m)
+        for trial in range(6):
+            probs = rng.random((2,) * m) ** 3
+            if trial % 2:
+                # zero-probability prefixes: a whole subtree and single leaves
+                probs[(rng.integers(2),)] = 0.0
+                probs.reshape(-1)[rng.random(2**m) < 0.3] = 0.0
+            if trial == 5 or probs.sum() == 0:
+                probs = np.zeros((2,) * m)  # a basis state
+                probs.reshape(-1)[rng.integers(2**m)] = 1.0
+            probs /= probs.sum()
+            got, want = _conditional_tables(probs), two_sum_tables(probs)
+            assert len(got) == len(want) == m
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def dict_tally_tomography(state, j, k, shots_per_setting, readout):
+    """Oracle: tomography's expectations and rho with the pooled marginal
+    sums kept in per-axis dicts and divided at the end, as tomography once
+    tallied them."""
+    bias = readout.bias_factor
+    e = np.zeros((4, 4))
+    e[0, 0] = 1.0
+    if shots_per_setting is None:
+        n = state.num_qubits
+        for a in range(4):
+            for b in range(4):
+                if a == b == 0:
+                    continue
+                labels = ["I"] * n
+                labels[j] = _AXES[a]
+                labels[k] = _AXES[b]
+                weight = (a != 0) + (b != 0)
+                e[a, b] = expectation(state, PauliString("".join(labels)))
+                e[a, b] *= bias**weight
+    else:
+        qubits = sorted((j, k))
+        signs = _pattern_outcomes(np.arange(4), 2)
+        sign_j = signs[:, qubits.index(j)]
+        sign_k = signs[:, qubits.index(k)]
+        sum_j = {1: 0, 2: 0, 3: 0}
+        sum_k = {1: 0, 2: 0, 3: 0}
+        for a in (1, 2, 3):
+            for b in (1, 2, 3):
+                rng = derive_rng(readout.seed, f"tomo-{_AXES[a]}{_AXES[b]}")
+                basis_by_qubit = {j: _AXES[a].lower(), k: _AXES[b].lower()}
+                record = sample_shots(
+                    state, qubits, [basis_by_qubit[q] for q in qubits],
+                    shots_per_setting, readout, rng,
+                )
+                counts = np.bincount(record.patterns, minlength=4)
+                e[a, b] = int(counts @ (sign_j * sign_k)) / shots_per_setting
+                sum_j[a] += int(counts @ sign_j)
+                sum_k[b] += int(counts @ sign_k)
+        for a in (1, 2, 3):
+            e[a, 0] = sum_j[a] / (3 * shots_per_setting)
+            e[0, a] = sum_k[a] / (3 * shots_per_setting)
+    rho = np.zeros((4, 4), dtype=np.complex128)
+    for a in range(4):
+        for b in range(4):
+            rho += e[a, b] * np.kron(SIGMA[_AXES[b]], SIGMA[_AXES[a]])
+    return e, rho / 4.0
+
+
+class TestTomographyOracle:
+    @pytest.fixture(scope="class")
+    def demo_state(self):
+        # every TLS pair of the demo W_10 state is entangled
+        return run_w_protocol(load_config(DEMO_CONFIG), 10).final_state
+
+    @pytest.mark.parametrize("shots", [None, 2, 1000, 4097])
+    @pytest.mark.parametrize("fidelity", [1.0, 0.96])
+    @pytest.mark.parametrize("j, k", [(1, 3), (3, 1), (2, 7), (7, 2)])
+    def test_equal_bit_for_bit(self, demo_state, j, k, fidelity, shots):
+        readout = ReadoutModel(fidelity, seed=31)
+        got = tomography_two_qubit(demo_state, j, k, shots, readout)
+        e, rho = dict_tally_tomography(demo_state, j, k, shots, readout)
+        assert got.expectations.tobytes() == e.tobytes()
+        assert got.rho.matrix.tobytes() == rho.tobytes()

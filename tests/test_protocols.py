@@ -520,7 +520,7 @@ def assembled_report(final, target_tls, num_tls):
     ground_pop = float(np.real(rho_bus.matrix[0, 0]))
     disentangled = rho_bus.purity() > 1.0 - 1e-9 and ground_pop > 1.0 - 1e-9
     profile = np.array([abs(final.amplitudes[1 << j]) for j in range(1, num_tls + 1)])
-    return fid, disentangled, profile
+    return fid, disentangled, ground_pop, profile
 
 
 class TestReportsMatchAssembly:
@@ -533,11 +533,15 @@ class TestReportsMatchAssembly:
 
     def assert_report(self, report, config, schedule, target_tls, profile_len):
         final = execute_schedule(schedule, config)
-        fid, disentangled, profile = assembled_report(final, target_tls, config.num_tls)
+        fid, disentangled, ground_pop, profile = assembled_report(
+            final, target_tls, config.num_tls
+        )
         assert report.schedule == schedule
         assert report.final_state.amplitudes.tobytes() == final.amplitudes.tobytes()
         assert report.target_fidelity == fid
         assert report.bus_disentangled is disentangled
+        # the bus trace the w-state command read back before the report carried it
+        assert report.bus_ground_population == ground_pop
         assert report.amplitude_profile.tobytes() == profile[:profile_len].tobytes()
 
     @pytest.mark.parametrize("n", range(1, 11))
@@ -591,6 +595,28 @@ class TestScheduleBoundary:
     def test_text_still_names_missing_ns_suffix(self):
         with pytest.raises(ProtocolError, match="ns suffix"):
             PulseSchedule.from_text("WINDOW j=1 t=1\n")
+
+    @pytest.mark.parametrize("tls", [1.5, 2.0, True, np.True_, "1"])
+    def test_rejects_tls_index_that_is_not_an_integer(self, tls):
+        # 1.5 used to reach execute_schedule as a tuple index; True used to
+        # serialize as "WINDOW j=True", which from_text cannot read back
+        with pytest.raises(ProtocolError, match="bad TLS index"):
+            PulseSchedule((ResonantWindow(tls, 1e-9),))
+
+    def test_numpy_integer_tls_index_runs_and_round_trips(self, config3):
+        def schedule(j):
+            return PulseSchedule((BusExcite(), ResonantWindow(j, config3.swap_time(2))))
+
+        sched = schedule(np.int64(2))
+        assert PulseSchedule.from_text(sched.to_text()).steps[1].tls == 2
+        got = execute_schedule(sched, config3).amplitudes
+        assert got.tobytes() == execute_schedule(schedule(2), config3).amplitudes.tobytes()
+
+    @pytest.mark.parametrize("step", [None, "RESET", BusExcite, ("WINDOW", 1, 1e-9)])
+    def test_rejects_unknown_instruction(self, step):
+        # to_text used to write such a step as an empty line
+        with pytest.raises(ProtocolError, match="unknown instruction"):
+            PulseSchedule((BusExcite(), step))
 
     @pytest.mark.parametrize("j, k", [(0, 2), (2, 4), (4, 1)])
     def test_bell_schedule_rejects_tls_outside_register(self, config3, j, k):

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import warnings
 
 import numpy as np
@@ -30,6 +31,12 @@ def single_tls_config(splitting_hz=40e6, f_r=5.5e9):
         tls=(TlsParams("a", 2 * np.pi * f_r, np.pi * splitting_hz),),
         bias_model=BiasModel(omega_p0=2 * np.pi * 7.6e9),
     )
+
+
+def cut_off_grid():
+    """A grid that starts at the 5.5 GHz crossing, cutting its dip in half."""
+    crossing_bias = bias_for_frequency(5.5e9, 2 * np.pi * 7.6e9)
+    return np.linspace(crossing_bias, crossing_bias + 0.05, 60)
 
 
 class TestBareCurve:
@@ -159,14 +166,26 @@ class TestExtraction:
         assert c.tls_frequency == pytest.approx(5.5e9, abs=2e6)
 
     def test_edge_minimum_warns_and_omits(self):
-        cfg = single_tls_config(f_r=5.5e9)
-        om = cfg.bias_model.omega_p0
-        crossing_bias = bias_for_frequency(5.5e9, om)
-        grid = np.linspace(crossing_bias, crossing_bias + 0.05, 60)
-        scan = synth_spectroscopy(cfg, grid)
+        scan = synth_spectroscopy(single_tls_config(f_r=5.5e9), cut_off_grid())
         with pytest.warns(UserWarning, match="edge"):
             crossings = extract_tls_parameters(scan)
         assert crossings == []
+
+    @pytest.mark.parametrize("points", [12, 20, 50, 300, 2000])
+    def test_demo_scan_warns_of_no_edge(self, points):
+        # several demo columns fall toward the grid edge beside their
+        # interior crossing; only an edge that is the column's lowest gap
+        # has lost a crossing.  The coarse grids still merge crossings.
+        demo = load_config(DEMO_CONFIG)
+        scan = synth_spectroscopy(demo, default_bias_grid(demo, points))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            crossings = extract_tls_parameters(scan)
+        messages = [str(w.message) for w in caught]
+        assert not [m for m in messages if "scan edge" in m]
+        if points >= 50:
+            assert messages == []
+            assert len(crossings) == demo.num_tls
 
     @pytest.mark.filterwarnings("ignore:gap minimum at scan edge")
     def test_merges_crossings_within_grid_step(self):
@@ -326,6 +345,36 @@ class TestCalibrationPruning:
         assert sum(sizes[1:-1]) < 2000
 
 
+class TestTlsListingOrder:
+    """DeviceConfig sorts its TLSs by frequency, so a shuffled listing gives
+    the scan of the sorted one, bit for bit."""
+
+    @staticmethod
+    def sources():
+        with open(DEMO_CONFIG) as fh:
+            yield json.load(fh)
+        for num_tls in (2, 5, 8, 10):
+            for seed in range(2):
+                yield example_config_dict(num_tls, seed)
+
+    @pytest.mark.parametrize("points", [20, 300, 2000])
+    def test_shuffled_listing_gives_the_sorted_scan(self, points):
+        rng = np.random.default_rng(points)
+        for data in self.sources():
+            listing = sorted(data["tls"], key=lambda t: t["omega_r_ghz"])
+            shuffled = [listing[i] for i in rng.permutation(len(listing))]
+            if len(listing) > 1 and shuffled == listing:
+                shuffled = listing[::-1]
+            scans = []
+            for tls in (listing, shuffled):
+                config = parse_config({**data, "tls": tls})
+                scans.append(synth_spectroscopy(config, default_bias_grid(config, points)))
+            sorted_scan, shuffled_scan = scans
+            assert shuffled_scan.bias_points.tobytes() == sorted_scan.bias_points.tobytes()
+            assert (shuffled_scan.branch_frequencies.tobytes()
+                    == sorted_scan.branch_frequencies.tobytes())
+
+
 class TestZeroObservedGap:
     """On coarse grids the refined splitting can clamp to 0; calibration
     must stop with the last finite model instead of dividing by it."""
@@ -368,10 +417,11 @@ def per_point_extraction(scan):
             if not is_min:
                 continue
             if i == 0 or i == len(bias) - 1:
-                warnings.warn(
-                    f"gap minimum at scan edge (bias {bias[i]:.4g}) lacks a "
-                    "three-point bracket; crossing omitted"
-                )
+                if i == int(np.argmin(gap)):
+                    warnings.warn(
+                        f"gap minimum at scan edge (bias {bias[i]:.4g}) lacks a "
+                        "three-point bracket; crossing omitted"
+                    )
                 continue
             if not _is_prominent(gap, i, lo):
                 continue
@@ -381,9 +431,8 @@ def per_point_extraction(scan):
             if not lo <= splitting <= hi:
                 continue
             mid = 0.5 * (freqs[:, col] + freqs[:, col + 1])
-            lo_i, hi_i = (i - 1, i) if center <= bias[i] else (i, i + 1)
-            frac = (center - bias[lo_i]) / (bias[hi_i] - bias[lo_i])
-            crossing_freq = float(mid[lo_i] + frac * (mid[hi_i] - mid[lo_i]))
+            near = slice(i - 1, i + 2)
+            crossing_freq = float(np.interp(center, bias[near], mid[near]))
             found.append(AvoidedCrossing(center, splitting, crossing_freq))
     found.sort(key=lambda c: c.tls_frequency)
     step = float(np.min(np.abs(np.diff(bias)))) if bias.size > 1 else 0.0
@@ -409,9 +458,10 @@ def crossings_and_warnings(extract, scan):
 
 class TestExtractionOracle:
     def scans(self, demo):
-        # the demo sweep (six edge warnings), the demo at coarse grids and a
-        # hand-built scan whose dips sit within one grid step (edge and
-        # merge warnings)
+        # the demo sweep and the demo at coarse grids (gaps falling toward
+        # the edge beside interior dips, no warning), a hand-built scan whose
+        # dips sit within one grid step (merge warning) and a single dip cut
+        # off by the grid edge (edge warning)
         for points in (2000, 12, 20, 50):
             yield synth_spectroscopy(demo, default_bias_grid(demo, points))
         bias = np.linspace(0.0, 1.0, 201)
@@ -419,6 +469,7 @@ class TestExtractionOracle:
         mid = 5.1e9 - 0.08e9 * np.exp(-(((bias - 0.5) / 0.02) ** 2))
         high = 5.2e9 - 0.15e9 * np.exp(-(((bias - 0.5004) / 0.02) ** 2))
         yield SpectroscopyScan(bias, np.sort(np.stack([low, mid, high], axis=1), axis=1))
+        yield synth_spectroscopy(single_tls_config(f_r=5.5e9), cut_off_grid())
 
     def test_same_crossings_and_warnings_as_per_point_loop(self, demo):
         kinds = set()

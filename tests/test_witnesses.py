@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -365,3 +366,40 @@ class TestSerialization:
         back = [(float(c), PauliString(labels)) for c, labels in rows[1:]]
         assert len(back) == len(w.terms)
         assert np.abs(pauli_sum_matrix(back) - w.to_matrix()).max() < 1e-12
+
+
+def fancy_index_w_vector(n: int) -> np.ndarray:
+    """|W_N> as the W witness built it before it shared ``w_state``."""
+    amplitudes = np.zeros(2**n, dtype=complex)
+    amplitudes[1 << np.arange(n)] = 1.0 / math.sqrt(n)
+    return amplitudes
+
+
+def loop_w_vector(n: int) -> np.ndarray:
+    """|W_N> as the W protocol built it, one amplitude at a time."""
+    amps = np.zeros(2**n, dtype=np.complex128)
+    for k in range(n):
+        amps[1 << k] = 1.0 / np.sqrt(n)
+    return amps
+
+
+class TestOneWVector:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_witness_projector_is_the_fancy_index_vector(self, n):
+        level, phi = w_witness(n).projector
+        assert level == (n - 1) / n
+        assert phi.amplitudes.tobytes() == fancy_index_w_vector(n).tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_w_state_is_the_loop_vector(self, n):
+        assert w_state(n).amplitudes.tobytes() == loop_w_vector(n).tobytes()
+
+    def test_one_definition(self):
+        import phasebus
+        from phasebus import protocols, states
+
+        assert phasebus.w_state is protocols.w_state is states.w_state
+
+    def test_decomposed_w3_shares_the_vector(self):
+        _, phi = w3_witness_decomposed().projector
+        assert phi.amplitudes.tobytes() == fancy_index_w_vector(3).tobytes()

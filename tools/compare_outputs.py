@@ -41,6 +41,11 @@ commands are:
 - ``spectroscopy`` on coarse and middle grids, whose calibration stops
   early or prunes differently from the 2,000-point sweep: ``--points`` 12,
   20, 50 and 300
+- a copy of the demo config with its ``tls`` list reversed, which the
+  device sorts back into frequency order: ``spectroscopy --points 300``
+  and ``w-state --n 10``
+- ``tomo --target bell:3:1`` with 4096 + 1 shots: a descending pair across
+  a draw block, at the demo readout fidelity
 - every demo script
 
 stderr is not compared: warnings carry source paths and line numbers.
@@ -51,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import json
 import os
 import shutil
 import subprocess
@@ -96,6 +102,13 @@ EXTRA = {
     "spectroscopy-20": ["spectroscopy", "--points", "20"],
     "spectroscopy-50": ["spectroscopy", "--points", "50"],
     "spectroscopy-300": ["spectroscopy", "--points", "300"],
+    "tomo-3-1-blocks": ["tomo", "--target", "bell:3:1", "--shots", "4097"],
+}
+# the demo config with its TLS list reversed, written into each run directory
+REVERSED_CONFIG = os.path.join("demos", "device_config_reversed.json")
+REVERSED = {
+    "spectroscopy-300-reversed": ["spectroscopy", "--points", "300"],
+    "w-state-10-reversed": ["w-state", "--n", "10"],
 }
 
 
@@ -108,9 +121,10 @@ def cases() -> dict[str, list[str]]:
             workdir = os.path.join("out", f"{workload}-seed{seed}")
             for exp in workloads.experiments(workload, seed, workdir):
                 out[exp.out] = phasebus + exp.argv(seed)
-    for name, args in EXTRA.items():
-        out[name] = phasebus + args + ["--config", CONFIG, "--seed", "1",
-                                       "--out", os.path.join("out", name)]
+    for config, extra in ((CONFIG, EXTRA), (REVERSED_CONFIG, REVERSED)):
+        for name, args in extra.items():
+            out[name] = phasebus + args + ["--config", config, "--seed", "1",
+                                           "--out", os.path.join("out", name)]
     for demo in sorted(os.listdir(os.path.join(ROOT, "demos"))):
         if demo.endswith(".py"):
             out[demo] = [sys.executable, os.path.join("demos", demo)]
@@ -120,6 +134,11 @@ def cases() -> dict[str, list[str]]:
 def run_tree(src: str, rundir: str) -> dict[str, tuple[int, bytes]]:
     """Run every case against ``src``; case name -> (exit code, stdout)."""
     shutil.copytree(os.path.join(ROOT, "demos"), os.path.join(rundir, "demos"))
+    with open(os.path.join(rundir, CONFIG)) as fh:
+        config = json.load(fh)
+    config["tls"].reverse()
+    with open(os.path.join(rundir, REVERSED_CONFIG), "w") as fh:
+        json.dump(config, fh, indent=2)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1")
     results = {}
     for name, argv in cases().items():
