@@ -38,14 +38,21 @@ def tls_from_splitting(tls_id: str, omega_r_ghz: float, splitting_mhz: float) ->
     )
 
 
+def _number(value) -> float:
+    # float(True) is 1.0, but a JSON boolean is no measurement
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def parse_config(data: dict) -> DeviceConfig:
     try:
         device = data["device"]
         tls_rows = data["tls"]
-        omega10 = float(device["omega10_ghz"]) * GHZ_TO_RAD
-        readout = float(device.get("readout_fidelity", 1.0))
+        omega10 = _number(device["omega10_ghz"]) * GHZ_TO_RAD
+        readout = _number(device.get("readout_fidelity", 1.0))
         omega_p0 = device.get("omega_p0_ghz")
-        omega_p0 = None if omega_p0 is None else float(omega_p0)
+        omega_p0 = None if omega_p0 is None else _number(omega_p0)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config structure: {exc}") from exc
     if not isinstance(tls_rows, list) or not tls_rows:
@@ -55,7 +62,7 @@ def parse_config(data: dict) -> DeviceConfig:
         try:
             tls.append(
                 tls_from_splitting(
-                    row["id"], float(row["omega_r_ghz"]), float(row["splitting_mhz"])
+                    row["id"], _number(row["omega_r_ghz"]), _number(row["splitting_mhz"])
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:

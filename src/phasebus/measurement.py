@@ -127,11 +127,10 @@ class ShotRecord:
     qubits: tuple[int, ...]
     bases: tuple
     patterns: np.ndarray
-    shots: int
 
     def __post_init__(self):
-        if self.patterns.shape != (self.shots,):
-            raise ValueError("pattern array shape mismatch")
+        if self.patterns.ndim != 1:
+            raise ValueError("pattern array must be one-dimensional")
 
     @property
     def outcomes(self) -> np.ndarray:
@@ -150,49 +149,9 @@ class ShotRecord:
             end = writer.dialect.lineterminator
             rows = [",".join(map(str, r)) + end
                     for r in _pattern_outcomes(np.arange(2**m), m).tolist()]
-            for start in range(0, self.shots, _SHOT_BLOCK):
+            for start in range(0, self.patterns.size, _SHOT_BLOCK):
                 block = self.patterns[start : start + _SHOT_BLOCK].tolist()
                 fh.write("".join(map(rows.__getitem__, block)))
-
-    @classmethod
-    def from_csv(cls, path) -> "ShotRecord":
-        """Load a shot file; raises ``ValueError`` on an empty file, a header
-        ``sample_shots`` would refuse (a column other than ``q<j>:<basis>``,
-        an unknown basis, a non-finite direction, qubits not distinct and
-        ascending), an entry other than +-1 or a row whose width differs
-        from the header's."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header:
-                raise ValueError("shot file has no header")
-            qubits, bases = [], []
-            for col in header:
-                q, _, b = col.partition(":")
-                if not (q[:1] == "q" and q[1:].isdecimal() and b):
-                    raise ValueError(f"column header {col!r} is not q<j>:<basis>")
-                qubits.append(int(q[1:]))
-                if "/" in b:
-                    b = tuple(float(a) for a in b.split("/"))
-                bloch_direction(b)
-                bases.append(b)
-            if qubits != sorted(set(qubits)):
-                raise ValueError(f"header qubits {qubits} are not distinct and ascending")
-            patterns = []
-            for line, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise ValueError(
-                        f"line {line}: {len(row)} entries, header has {len(header)}"
-                    )
-                pattern = 0
-                for text in row:
-                    value = int(text)
-                    if value not in (1, -1):
-                        raise ValueError(f"line {line}: outcome {text!r} is not +-1")
-                    pattern = 2 * pattern + (value == -1)
-                patterns.append(pattern)
-        arr = np.array(patterns, dtype=np.int64)
-        return cls(tuple(qubits), tuple(bases), arr, arr.shape[0])
 
 
 def _pattern_outcomes(patterns: np.ndarray, m: int) -> np.ndarray:
@@ -284,7 +243,7 @@ def sample_shots(
             flips <<= 1
             flips |= uniforms[:, k, 1] < 1.0 - readout.fidelity
         patterns[start:start + len(block)] = block ^ flips
-    return ShotRecord(tuple(qubits), tuple(bases), patterns, shots)
+    return ShotRecord(tuple(qubits), tuple(bases), patterns)
 
 
 # witness estimation -------------------------------------------------------------

@@ -70,7 +70,7 @@ class PulseSchedule:
             if isinstance(step, ResonantWindow):
                 if not (np.isfinite(step.duration) and step.duration >= 0):
                     raise ProtocolError(f"bad window duration {step.duration}")
-                # bool is an int subclass, but "WINDOW j=True" cannot be read back
+                # bool is an int subclass, but to_text would write "j=True"
                 is_int = isinstance(step.tls, (int, np.integer)) and not isinstance(step.tls, bool)
                 if not (is_int and step.tls >= 1):
                     raise ProtocolError(f"bad TLS index {step.tls}")
@@ -89,12 +89,8 @@ class PulseSchedule:
         return len(self.steps)
 
     def to_text(self) -> str:
-        """Line-oriented form, one instruction per line.
-
-        Durations are rendered in ns; the unit conversion may round the
-        stored seconds value in its last bit, so parsing recovers durations
-        to relative 1e-15, not bit-exactly.
-        """
+        """Line-oriented form, one instruction per line; window durations
+        in ns, which may round the stored seconds in the last bit."""
         lines = []
         for step in self.steps:
             if isinstance(step, ResonantWindow):
@@ -105,35 +101,7 @@ class PulseSchedule:
                 lines.append("RESET")
             elif isinstance(step, BusExcite):
                 lines.append("EXCITE")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "PulseSchedule":
-        steps: list[Instruction] = []
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            op, *args = line.split()
-            try:
-                kv = dict(a.split("=", 1) for a in args)
-                if op == "WINDOW":
-                    if not kv["t"].endswith("ns"):
-                        raise ProtocolError(f"window duration needs ns suffix: {line!r}")
-                    steps.append(
-                        ResonantWindow(int(kv["j"]), float(kv["t"][:-2]) * 1e-9)
-                    )
-                elif op == "ROT":
-                    steps.append(BusRotation(kv["axis"], float(kv["angle"])))
-                elif op == "RESET":
-                    steps.append(BusReset())
-                elif op == "EXCITE":
-                    steps.append(BusExcite())
-                else:
-                    raise ProtocolError(f"unknown instruction {op!r}")
-            except (KeyError, ValueError) as exc:
-                raise ProtocolError(f"malformed instruction {line!r}") from exc
-        return cls(tuple(steps))
+        return "".join(f"{line}\n" for line in lines)
 
 
 # executor -------------------------------------------------------------------
@@ -343,8 +311,11 @@ def _embed_tls_state(tls_state: StateVector, num_tls: int) -> StateVector:
 def tls_register_state(state: StateVector, n: int) -> StateVector:
     """Pure state of TLS 1..n, given the bus in |0> and quiet spectators.
 
-    Raises when the register carries weight outside that subspace.
+    Raises when n is not in 1..num_qubits - 1 or the register carries
+    weight outside that subspace.
     """
+    if not 1 <= n < state.num_qubits:
+        raise ProtocolError(f"TLS count {n} outside 1..{state.num_qubits - 1}")
     sub = state.amplitudes[_tls_slice(n)].copy()
     norm = np.linalg.norm(sub)
     if norm < 1.0 - DISENTANGLE_TOL:

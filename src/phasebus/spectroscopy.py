@@ -30,7 +30,8 @@ DETECTION_BAND_HZ = (5e6, 500e6)
 
 @dataclass(frozen=True)
 class SpectroscopyScan:
-    """Transition frequencies (Hz) per bias point, sorted ascending."""
+    """Transition frequencies (Hz) per bias point, sorted ascending, at
+    strictly increasing bias points."""
 
     bias_points: np.ndarray          # shape (n_bias,), values in (0, 1)
     branch_frequencies: np.ndarray   # shape (n_bias, n_branch)
@@ -42,6 +43,8 @@ class SpectroscopyScan:
             raise ValueError("one frequency row per bias point required")
         if not (np.all(np.isfinite(bias)) and np.all(np.isfinite(freqs))):
             raise ValueError("bias points and branch frequencies must be finite")
+        if np.any(np.diff(bias) <= 0):
+            raise ValueError("bias points must be strictly increasing")
         if np.any(freqs <= 0):
             raise ValueError("branch frequencies must be positive")
         if np.any(np.diff(freqs, axis=1) < 0):

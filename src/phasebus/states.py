@@ -44,9 +44,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.amplitudes.copy())
-
 
 @dataclass(eq=False)
 class DensityMatrix:

@@ -9,7 +9,7 @@ import pytest
 from phasebus.cli import main
 from phasebus.config_io import example_config_dict, load_config, parse_config
 from phasebus.device import ConfigError
-from phasebus.measurement import ReadoutModel, ShotRecord, estimate_witness_sampled
+from phasebus.measurement import ReadoutModel, estimate_witness_sampled
 from phasebus.protocols import run_w_protocol
 from phasebus.reporting import fmt
 from phasebus.spectroscopy import default_bias_grid, synth_spectroscopy
@@ -146,6 +146,27 @@ class TestExitCodes:
             "tls": [{"id": "a", "omega_r_ghz": 5.0, "splitting_mhz": 40.0}],
         }
         path = tmp_path / "p0.json"
+        path.write_text(json.dumps(data))
+        rc = main(["w-state", "--config", str(path), "--n", "1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("phasebus: invalid config: ") and err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "o")
+
+    @pytest.mark.parametrize(
+        "section, field",
+        [("device", "omega10_ghz"), ("device", "readout_fidelity"),
+         ("device", "omega_p0_ghz"), ("tls", "omega_r_ghz"), ("tls", "splitting_mhz")],
+    )
+    def test_boolean_number_rejected(self, tmp_path, capsys, section, field):
+        # float(true) is 1.0: F = 1, a 1 MHz splitting, a 1 GHz line
+        data = {
+            "device": {"omega10_ghz": 6.0, "readout_fidelity": 0.96, "omega_p0_ghz": 7.6},
+            "tls": [{"id": "a", "omega_r_ghz": 5.0, "splitting_mhz": 40.0}],
+        }
+        (data["tls"][0] if section == "tls" else data["device"])[field] = True
+        path = tmp_path / "bool.json"
         path.write_text(json.dumps(data))
         rc = main(["w-state", "--config", str(path), "--n", "1",
                    "--out", str(tmp_path / "o")])
@@ -333,9 +354,10 @@ class TestWitnessCommand:
         )
         assert len(est.records) == 5
         for idx, record in enumerate(est.records):
-            back = ShotRecord.from_csv(os.path.join(out, f"shots_setting_{idx}.csv"))
-            assert (back.qubits, back.bases) == (record.qubits, record.bases)
-            assert np.array_equal(back.outcomes, record.outcomes)
+            oracle = tmp_path / f"oracle_{idx}.csv"
+            record.to_csv(oracle)
+            with open(os.path.join(out, f"shots_setting_{idx}.csv"), "rb") as fh:
+                assert fh.read() == oracle.read_bytes()
         assert not os.path.exists(os.path.join(out, "shots_setting_5.csv"))
         with open(os.path.join(out, "witness_terms.csv"), newline="") as fh:
             rows = list(csv.reader(fh))
@@ -366,7 +388,6 @@ class TestTomoCommand:
 
 
 class TestSpectroscopyCommand:
-    @pytest.mark.filterwarnings("ignore:gap minimum at scan edge")
     def test_scan_and_crossings(self, config_path, tmp_path):
         out = str(tmp_path / "spec")
         rc = main(["spectroscopy", "--config", config_path, "--out", out])
@@ -384,9 +405,11 @@ class TestSpectroscopyCommand:
         assert rel_errs and max(rel_errs) < 0.05
         assert not any(m.endswith("_unmatched") for m in rows)
 
-    @pytest.mark.filterwarnings("ignore:gap minimum at scan edge")
     @pytest.mark.filterwarnings("ignore:crossings at bias")
-    @pytest.mark.parametrize("points", [3, 50])
+    @pytest.mark.parametrize("points", [
+        pytest.param(3, marks=pytest.mark.filterwarnings("ignore:gap minimum at scan edge")),
+        50,
+    ])
     def test_streamed_scan_csv_equals_csv_writer(self, config_path, tmp_path, points):
         # oracle: the scan rows collected as Python values, then written
         # with csv.writer and the report's fmt, as the report's own CSV
@@ -464,7 +487,6 @@ class TestDeterminism:
                     digests[f"{os.path.basename(out)}/{name}"] = fh.read()
         return digests
 
-    @pytest.mark.filterwarnings("ignore:gap minimum at scan edge")
     def test_reruns_byte_identical(self, small_config_path, tmp_path):
         first = self._run_matrix(small_config_path, str(tmp_path / "m"))
         second = self._run_matrix(small_config_path, str(tmp_path / "m"))

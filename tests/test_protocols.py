@@ -10,6 +10,7 @@ from phasebus.protocols import (
     BUS_INIT_GROUND,
     BUS_INIT_PLUS,
     BusExcite,
+    BusReset,
     BusRotation,
     PulseSchedule,
     ResonantWindow,
@@ -47,23 +48,21 @@ class TestSchedule:
         with pytest.raises(ProtocolError):
             PulseSchedule((ResonantWindow(1, -1e-9),))
 
-    def test_text_round_trip(self, config3):
+    def test_text_one_line_per_step(self, config3):
         sched = cluster_sequence(config3, 3)
-        text = sched.to_text()
-        back = PulseSchedule.from_text(text)
-        assert len(back) == len(sched)
-        for a, b in zip(back, sched):
-            if isinstance(a, ResonantWindow):
-                assert a.tls == b.tls
+        lines = sched.to_text().splitlines()
+        assert len(lines) == len(sched)
+        for line, step in zip(lines, sched):
+            if isinstance(step, ResonantWindow):
+                j, t = line.removeprefix("WINDOW ").split()
+                assert j == f"j={step.tls}" and t.endswith("ns")
                 # ns <-> s conversion may wobble by one ulp
-                assert a.duration == pytest.approx(b.duration, rel=1e-12)
+                assert float(t[2:-2]) * 1e-9 == pytest.approx(step.duration, rel=1e-12)
+            elif isinstance(step, BusRotation):
+                assert line == f"ROT axis={step.axis} angle={step.angle!r}"
             else:
-                assert a == b
-        assert "WINDOW" in text and "ROT axis=z" in text and "ns" in text
-
-    def test_unknown_instruction_rejected(self):
-        with pytest.raises(ProtocolError, match="unknown"):
-            PulseSchedule.from_text("WOBBLE j=1\n")
+                assert line == ("RESET" if isinstance(step, BusReset) else "EXCITE")
+        assert "ROT axis=z" in sched.to_text()
 
     def test_swap_duration_serializes_in_ns(self, config3):
         # 40 MHz splitting corresponds to a 12.5 ns full swap
@@ -511,6 +510,13 @@ class TestTlsSlice:
         with pytest.raises(ValueError, match="larger"):
             _embed_tls_state(w_state(4), 3)
 
+    @pytest.mark.parametrize("n", [0, 4, 5])
+    def test_register_state_rejects_tls_count_outside_register(self, n):
+        # n = 0 reads no TLS; past the register the strided slice stops at
+        # its end and would return 3 TLSs for any larger n
+        with pytest.raises(ProtocolError, match=f"TLS count {n} outside 1..3"):
+            tls_register_state(ground_register(3), n)
+
 
 def assembled_report(final, target_tls, num_tls):
     """Oracle for the runners' scoring: the kron-padded target's fidelity,
@@ -576,39 +582,19 @@ class TestScheduleBoundary:
         with pytest.raises(ProtocolError, match="rotation angle"):
             PulseSchedule((BusRotation("x", bad),))
 
-    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
-    def test_text_rejects_non_finite_values(self, config3, text):
-        with pytest.raises(ProtocolError, match="window duration"):
-            PulseSchedule.from_text(f"WINDOW j=1 t={text}ns\n")
-        with pytest.raises(ProtocolError, match="rotation angle"):
-            PulseSchedule.from_text(f"ROT axis=y angle={text}\n")
-
-    @pytest.mark.parametrize(
-        "line",
-        ["WINDOW t=1ns", "WINDOW j=x t=1ns", "WINDOW j=1", "WINDOW j=1 t=abcns",
-         "ROT axis=x", "ROT angle=1.0", "ROT axis=x angle=pi", "RESET now"],
-    )
-    def test_text_rejects_malformed_instruction(self, line):
-        with pytest.raises(ProtocolError, match="malformed instruction"):
-            PulseSchedule.from_text(line + "\n")
-
-    def test_text_still_names_missing_ns_suffix(self):
-        with pytest.raises(ProtocolError, match="ns suffix"):
-            PulseSchedule.from_text("WINDOW j=1 t=1\n")
-
     @pytest.mark.parametrize("tls", [1.5, 2.0, True, np.True_, "1"])
     def test_rejects_tls_index_that_is_not_an_integer(self, tls):
-        # 1.5 used to reach execute_schedule as a tuple index; True used to
-        # serialize as "WINDOW j=True", which from_text cannot read back
+        # 1.5 used to reach execute_schedule as a tuple index; to_text
+        # would write True as "WINDOW j=True"
         with pytest.raises(ProtocolError, match="bad TLS index"):
             PulseSchedule((ResonantWindow(tls, 1e-9),))
 
-    def test_numpy_integer_tls_index_runs_and_round_trips(self, config3):
+    def test_numpy_integer_tls_index_runs_and_serializes(self, config3):
         def schedule(j):
             return PulseSchedule((BusExcite(), ResonantWindow(j, config3.swap_time(2))))
 
         sched = schedule(np.int64(2))
-        assert PulseSchedule.from_text(sched.to_text()).steps[1].tls == 2
+        assert sched.to_text() == schedule(2).to_text()
         got = execute_schedule(sched, config3).amplitudes
         assert got.tobytes() == execute_schedule(schedule(2), config3).amplitudes.tobytes()
 

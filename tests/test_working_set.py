@@ -59,7 +59,6 @@ def test_c10_shot_files_at_100000_shots(tmp_path):
     assert codes == [0]
 
 
-@pytest.mark.filterwarnings("ignore:gap minimum at scan edge")
 def test_spectroscopy_report_at_2000_points(tmp_path):
     argv = ["spectroscopy", "--points", "2000", "--config", DEMO_CONFIG,
             "--out", str(tmp_path)]
