@@ -39,8 +39,9 @@ def tls_from_splitting(tls_id: str, omega_r_ghz: float, splitting_mhz: float) ->
 
 
 def _number(value) -> float:
-    # float(True) is 1.0, but a JSON boolean is no measurement
-    if isinstance(value, bool):
+    # only a JSON number: float("6.0") and float(True) would pass a string
+    # or a boolean as a measurement
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{value!r} is not a number")
     return float(value)
 
@@ -53,7 +54,7 @@ def parse_config(data: dict) -> DeviceConfig:
         readout = _number(device.get("readout_fidelity", 1.0))
         omega_p0 = device.get("omega_p0_ghz")
         omega_p0 = None if omega_p0 is None else _number(omega_p0)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed config structure: {exc}") from exc
     if not isinstance(tls_rows, list) or not tls_rows:
         raise ConfigError("config needs a non-empty 'tls' list")
@@ -65,7 +66,7 @@ def parse_config(data: dict) -> DeviceConfig:
                     row["id"], _number(row["omega_r_ghz"]), _number(row["splitting_mhz"])
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed TLS entry {row!r}: {exc}") from exc
     bias = BiasModel(omega_p0 * GHZ_TO_RAD) if omega_p0 is not None else None
     return DeviceConfig(

@@ -253,7 +253,6 @@ def sample_shots(
 class WitnessEstimate:
     value: float
     stderr: float
-    shots_per_setting: int
     bias_factor: float
     records: list[ShotRecord] | None = None
 
@@ -299,7 +298,6 @@ def estimate_witness_sampled(
     return WitnessEstimate(
         value=float(total),
         stderr=float(np.sqrt(var_total)),
-        shots_per_setting=shots_per_setting,
         bias_factor=readout.bias_factor,
         records=records if keep_records else None,
     )
@@ -308,19 +306,15 @@ def estimate_witness_sampled(
 def _value_table(setting: MeasurementSetting, m: int) -> np.ndarray:
     """A setting's shot value for each of the 2^m outcome patterns.
 
-    A pattern with p bits set has m - p outcomes +1; a shot term's outcome
-    product is -1 exactly when the pattern sets an odd number of the
-    term's support bits.  Terms accumulate in order, so every entry is the
-    float sum the per-shot rule gives.
+    A set bit is a -1 outcome, so a term's count of +1 outcomes is its
+    support size less the support bits the pattern sets.  Terms accumulate
+    in order, so every entry is the float sum the per-shot rule gives.
     """
     patterns = np.arange(2**m)
-    if setting.count_weights is not None:
-        return np.asarray(setting.count_weights)[m - np.bitwise_count(patterns)]
     values = np.zeros(2**m)
-    for coeff, support in setting.shot_terms:
+    for weights, support in setting.terms:
         mask = sum(1 << (m - 1 - q) for q in support)
-        odd = np.bitwise_count(patterns & mask) & 1
-        values += np.where(odd, -coeff, coeff)
+        values += np.asarray(weights)[len(support) - np.bitwise_count(patterns & mask)]
     return values
 
 
@@ -337,7 +331,6 @@ class TomographyResult:
     settings_used: int
     fidelity_vs_target: float | None
     physical: bool
-    shots_per_setting: int | None
 
 
 def tomography_two_qubit(
@@ -409,5 +402,4 @@ def tomography_two_qubit(
         settings_used=9,
         fidelity_vs_target=fid,
         physical=physical,
-        shots_per_setting=shots_per_setting,
     )

@@ -6,7 +6,7 @@ qubit 2 (reading order matches qubit order).
 Every action goes through the binary (x, z) form of Aaronson & Gottesman,
 PRA 70, 052328 (2004): P = i^{|x & z|} X^x Z^z, where bit q of each mask
 is qubit q.  X sets the x bit, Z the z bit and Y = i X Z sets both, so
-products, commutation and P|psi> are integer mask arithmetic.
+commutation and P|psi> are integer mask arithmetic.
 """
 
 from __future__ import annotations
@@ -75,25 +75,6 @@ class PauliString:
             raise ValueError("qubit counts differ")
         anti = (self.x_mask & other.z_mask) ^ (self.z_mask & other.x_mask)
         return anti.bit_count() % 2 == 0
-
-
-def pauli_mul(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
-    """Product a*b as (phase, string)."""
-    if len(a.labels) != len(b.labels):
-        raise ValueError("qubit counts differ")
-    x, z = a.x_mask ^ b.x_mask, a.z_mask ^ b.z_mask
-    # X^xa Z^za X^xb Z^zb = (-1)^{|za & xb|} X^x Z^z, and the i^{|x & z|}
-    # prefactors of a, b and the product each count their Ys
-    exponent = (
-        (a.x_mask & a.z_mask).bit_count()
-        + (b.x_mask & b.z_mask).bit_count()
-        + 2 * (a.z_mask & b.x_mask).bit_count()
-        - (x & z).bit_count()
-    )
-    labels = "".join(
-        "IXZY"[(x >> q & 1) | (z >> q & 1) << 1] for q in range(len(a.labels))
-    )
-    return _I_POWERS[exponent % 4], PauliString(labels)
 
 
 def apply_pauli(pauli: PauliString, state: StateVector) -> StateVector:

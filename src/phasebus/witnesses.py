@@ -18,7 +18,7 @@ from math import comb, isfinite, pi, sqrt
 
 import numpy as np
 
-from .paulis import PauliString, pauli_mul, pauli_sum_matrix
+from .paulis import PauliString, pauli_sum_matrix
 from .states import StateVector, expectation, w_state
 
 # Bloch direction (theta, phi) of each basis a single qubit can be read in:
@@ -53,25 +53,26 @@ class MeasurementSetting:
     """One basis per qubit plus the shot-value rule for its witness share.
 
     A basis is a label or a Bloch direction (see ``bloch_direction``).  The
-    rule is one of two forms.  ``shot_terms`` holds (coefficient,
-    qubit-support) pairs: a shot with per-qubit outcomes o contributes
-    sum_k c_k * prod_{q in support_k} o_q.  ``count_weights`` holds one value
-    per possible count of +1 outcomes (0..N): a shot contributes the entry
-    for its count.
+    rule ``terms`` holds (weights, support) pairs, the support a tuple of
+    distinct qubit indices: a shot adds, for every term, ``weights[c]`` with
+    c its count of +1 outcomes on the support.  A product of the support's
+    outcomes with coefficient a has weights a (-1)^(|support| - c).
     """
 
     bases: tuple
-    shot_terms: tuple[tuple[float, tuple[int, ...]], ...] = ()
-    count_weights: tuple[float, ...] | None = None
+    terms: tuple[tuple[tuple[float, ...], tuple[int, ...]], ...]
 
     def __post_init__(self):
         for b in self.bases:
             bloch_direction(b)
-        if self.count_weights is not None:
-            if self.shot_terms:
-                raise ValueError("a setting has shot terms or count weights, not both")
-            if len(self.count_weights) != len(self.bases) + 1:
-                raise ValueError("count weights need one entry per count 0..N")
+        m = len(self.bases)
+        for weights, support in self.terms:
+            if len(set(support)) != len(support) or not all(
+                isinstance(q, int) and 0 <= q < m for q in support
+            ):
+                raise ValueError(f"term support {support!r} is not distinct qubits 0..{m - 1}")
+            if len(weights) != len(support) + 1:
+                raise ValueError("a term needs one weight per count 0..|support|")
 
 
 @dataclass
@@ -203,13 +204,12 @@ def _w_collective_settings(n: int) -> list[MeasurementSetting]:
         target = [t[k], 2 * t_xx] + [0.0] * k
         weights = np.linalg.solve(rows @ rows.T, target[: len(rows)]) @ rows
         tables += np.outer(weights, _count_symmetric(n, k))
-    settings = [MeasurementSetting(("z",) * n, count_weights=tuple(tables[0].tolist()))]
+    every = tuple(range(n))
+    settings = [MeasurementSetting(("z",) * n, ((tuple(tables[0].tolist()), every),))]
     for theta, table in zip(thetas[1:], tables[1:] / (n + 1)):
+        rule = ((tuple(table.tolist()), every),)
         for j in range(n + 1):
-            direction = (theta, 2 * pi * j / (n + 1))
-            settings.append(
-                MeasurementSetting((direction,) * n, count_weights=tuple(table.tolist()))
-            )
+            settings.append(MeasurementSetting(((theta, 2 * pi * j / (n + 1)),) * n, rule))
     return settings
 
 
@@ -228,9 +228,9 @@ def w3_witness_decomposed() -> WitnessOperator:
     z_table = tuple((3 * a + 5 * b + 7 * c) / 24 for a, b, c in zip(e1, e2, e3))
     root2 = sqrt(2.0)
     cone_table = tuple((1 - (1 + root2) ** m * (1 - root2) ** (3 - m)) / 24 for m in range(4))
-    settings = [MeasurementSetting(("z",) * 3, count_weights=z_table)]
+    settings = [MeasurementSetting(("z",) * 3, ((z_table, (0, 1, 2)),))]
     settings += [
-        MeasurementSetting((basis,) * 3, count_weights=cone_table)
+        MeasurementSetting((basis,) * 3, ((cone_table, (0, 1, 2)),))
         for basis in ("z+x", "z-x", "z+y", "z-y")
     ]
     return WitnessOperator(_w_terms(3), 3, settings, _w_projector(3))
@@ -247,10 +247,6 @@ class StabilizerSet:
 
     def __post_init__(self):
         gens = tuple(self.generators)
-        for g in gens:
-            phase, sq = pauli_mul(g, g)
-            if not sq.is_identity() or phase != 1:
-                raise ValueError(f"{g} does not square to the identity")
         for i, a in enumerate(gens):
             for b in gens[i + 1 :]:
                 if not a.commutes_with(b):
@@ -264,38 +260,28 @@ class StabilizerSet:
         return len(self.generators)
 
 
+def _chain_product(sites, n: int) -> PauliString:
+    """Product of the chain generators centred on ``sites`` (0-based).
+
+    Generator k carries X on site k and Z on its neighbours.  For sites of
+    one parity no X meets a Z, so the product has X on the sites, Z where an
+    odd number of them are neighbours, and no phase.
+    """
+    labels = ["I"] * n
+    for k in sites:
+        for q in (k - 1, k + 1):
+            if 0 <= q < n:
+                labels[q] = "Z" if labels[q] == "I" else "I"
+    for k in sites:
+        labels[k] = "X"
+    return PauliString("".join(labels))
+
+
 def cluster_stabilizers(n: int) -> StabilizerSet:
     """Chain generators X Z I..., Z X Z ..., ... I Z X."""
     if n < 2:
         raise ValueError("cluster chain needs at least two qubits")
-    gens = []
-    for k in range(1, n + 1):
-        labels = ["I"] * n
-        labels[k - 1] = "X"
-        if k > 1:
-            labels[k - 2] = "Z"
-        if k < n:
-            labels[k] = "Z"
-        gens.append(PauliString("".join(labels)))
-    return StabilizerSet(tuple(gens))
-
-
-def _stabilizer_products(gens: list[PauliString], n: int) -> list[PauliString]:
-    """All products over subsets of ``gens``, the identity first.
-
-    Chain stabilizers of equal parity overlap only through Z factors, so the
-    products carry no phases.
-    """
-    products = [PauliString("I" * n)]
-    for g in gens:
-        new = []
-        for p in products:
-            phase, prod = pauli_mul(p, g)
-            if phase != 1:
-                raise ValueError("unexpected phase in stabilizer product")
-            new.append(prod)
-        products += new
-    return products
+    return StabilizerSet(tuple(_chain_product([k], n) for k in range(n)))
 
 
 def cluster_witness(n: int) -> WitnessOperator:
@@ -305,19 +291,28 @@ def cluster_witness(n: int) -> WitnessOperator:
     joint +1 eigenspace; the witness detects the cluster state with value
     -1.  Each projector's non-identity products carry X letters only on its
     generators' parity of positions, so they go straight to that parity's
-    setting: x there, z elsewhere.
+    setting: x there, z elsewhere.  Products are listed by subset, bit j of
+    the subset index choosing the group's j-th generator.
     """
-    gens = list(cluster_stabilizers(n))
+    if n < 2:
+        raise ValueError("cluster chain needs at least two qubits")
     # even generators (k = 2, 4, ...) carry X on odd 0-based positions
-    groups = [(1, gens[1::2]), (0, gens[0::2])]
-    scales = [-2.0 / (2 ** len(group)) for _, group in groups]
+    groups = [range(1, n, 2), range(0, n, 2)]
+    scales = [-2.0 / (2 ** len(sites)) for sites in groups]
     terms = [(3.0 + scales[0] + scales[1], PauliString("I" * n))]
     settings = []
-    for (x_parity, group), scale in zip(groups, scales):
-        products = _stabilizer_products(group, n)[1:]
+    for sites, scale in zip(groups, scales):
+        products = [
+            _chain_product([k for j, k in enumerate(sites) if i >> j & 1], n)
+            for i in range(1, 2 ** len(sites))
+        ]
         terms += [(scale, p) for p in products]
-        bases = tuple("x" if q % 2 == x_parity else "z" for q in range(n))
-        settings.append(MeasurementSetting(bases, tuple((scale, p.support()) for p in products)))
+        bases = tuple("x" if q in sites else "z" for q in range(n))
+        rule = tuple(
+            (tuple(scale * (-1) ** (p.weight - c) for c in range(p.weight + 1)), p.support())
+            for p in products
+        )
+        settings.append(MeasurementSetting(bases, rule))
     return WitnessOperator(terms, n, settings)
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from phasebus.device import BiasModel, DeviceConfig, TlsParams
-from phasebus.paulis import PauliString, pauli_mul
-from phasebus.witnesses import MeasurementSetting, WitnessOperator, cluster_stabilizers
+from phasebus.paulis import PauliString
+from phasebus.witnesses import MeasurementSetting, WitnessOperator, _chain_product
 
 GHZ = 2 * np.pi * 1e9
 MHZ = 2 * np.pi * 1e6
@@ -45,19 +45,19 @@ def literal_cluster_operator(n: int) -> WitnessOperator:
     This is *not* a witness: its value on the cluster state it targets is
     non-negative.  Tests build it to show why the projector form is needed.
     """
-    gens = list(cluster_stabilizers(n))
     terms = [(3.0, PauliString("I" * n))]
     settings = []
     # each product is read in its chain pattern: x where its generators
     # carry X (odd 0-based positions for the even generators), z elsewhere
-    for x_parity, group in ((1, gens[1::2]), (0, gens[0::2])):
-        prod = PauliString("I" * n)
-        for g in group:
-            _, prod = pauli_mul(prod, g)
-        coeff = -2.0 / (2 ** len(group))
+    for x_parity in (1, 0):
+        sites = range(x_parity, n, 2)
+        prod = _chain_product(sites, n)
+        coeff = -2.0 / (2 ** len(sites))
         terms.append((coeff, prod))
         bases = tuple("x" if q % 2 == x_parity else "z" for q in range(n))
-        settings.append(MeasurementSetting(bases, ((coeff, prod.support()),)))
+        support = prod.support()
+        weights = tuple(coeff * (-1) ** (len(support) - c) for c in range(len(support) + 1))
+        settings.append(MeasurementSetting(bases, ((weights, support),)))
     return WitnessOperator(terms, n, settings)
 
 

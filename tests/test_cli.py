@@ -93,6 +93,23 @@ class TestLoadConfig:
         assert cfg.swap_time(1) == pytest.approx(12.5e-9)
 
 
+def assert_field_rejected(tmp_path, capsys, section, field, value):
+    """A valid config with one number replaced by ``value`` exits 3 with one
+    ``invalid config`` line and writes no output."""
+    data = {
+        "device": {"omega10_ghz": 6.0, "readout_fidelity": 0.96, "omega_p0_ghz": 7.6},
+        "tls": [{"id": "a", "omega_r_ghz": 5.0, "splitting_mhz": 40.0}],
+    }
+    (data["tls"][0] if section == "tls" else data["device"])[field] = value
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(data))
+    rc = main(["w-state", "--config", str(path), "--n", "1", "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("phasebus: invalid config: ") and err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "o")
+
+
 class TestExitCodes:
     def test_success(self, small_config_path, tmp_path):
         rc = main(["w-state", "--config", small_config_path, "--n", "2",
@@ -161,19 +178,19 @@ class TestExitCodes:
     )
     def test_boolean_number_rejected(self, tmp_path, capsys, section, field):
         # float(true) is 1.0: F = 1, a 1 MHz splitting, a 1 GHz line
-        data = {
-            "device": {"omega10_ghz": 6.0, "readout_fidelity": 0.96, "omega_p0_ghz": 7.6},
-            "tls": [{"id": "a", "omega_r_ghz": 5.0, "splitting_mhz": 40.0}],
-        }
-        (data["tls"][0] if section == "tls" else data["device"])[field] = True
-        path = tmp_path / "bool.json"
-        path.write_text(json.dumps(data))
-        rc = main(["w-state", "--config", str(path), "--n", "1",
-                   "--out", str(tmp_path / "o")])
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert err.startswith("phasebus: invalid config: ") and err.count("\n") == 1
-        assert not os.path.exists(tmp_path / "o")
+        assert_field_rejected(tmp_path, capsys, section, field, True)
+
+    @pytest.mark.parametrize(
+        "section, field, text",
+        [("device", "omega10_ghz", "6.0"), ("device", "readout_fidelity", "0.96"),
+         ("device", "omega_p0_ghz", "7.6"), ("tls", "omega_r_ghz", "5.0"),
+         ("tls", "splitting_mhz", "40"), ("device", "omega10_ghz", 6 * 10**400),
+         ("tls", "splitting_mhz", 4 * 10**400)],
+    )
+    def test_string_or_oversized_number_rejected(self, tmp_path, capsys, section, field, text):
+        # float("0.96") parses, but a JSON string is no measurement; a JSON
+        # integer beyond float range overflows float()
+        assert_field_rejected(tmp_path, capsys, section, field, text)
 
     def test_out_of_memory_exits_four(self, small_config_path, tmp_path, capsys,
                                       monkeypatch):

@@ -305,14 +305,9 @@ def csv_writer_bytes(header, outcomes):
 def shot_values(setting, outcomes):
     """Oracle for ``_value_table``: apply a setting's rule shot by shot to a
     (shots, m) array of +-1 outcomes."""
-    if setting.count_weights is not None:
-        return np.asarray(setting.count_weights)[(outcomes > 0).sum(axis=1)]
     values = np.zeros(outcomes.shape[0])
-    for coeff, support in setting.shot_terms:
-        if support:
-            values += coeff * outcomes[:, list(support)].prod(axis=1)
-        else:
-            values += coeff
+    for weights, support in setting.terms:
+        values += np.asarray(weights)[(outcomes[:, list(support)] > 0).sum(axis=1)]
     return values
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from phasebus.config_io import example_config_dict, parse_config
 from phasebus.device import full_hamiltonian, rotating_frame_transform
-from phasebus.paulis import PauliString, apply_pauli, pauli_mul
+from phasebus.paulis import PauliString, apply_pauli
 from phasebus.protocols import cluster_state
 from phasebus.states import StateVector
 
@@ -59,15 +59,6 @@ def test_apply_pauli_equals_matrix(labels, seed):
     p = PauliString(labels)
     v = random_amplitudes(seed, len(labels))
     assert np.array_equal(apply_pauli(p, StateVector(v)).amplitudes, p.matrix() @ v)
-
-
-@PROPERTY
-@given(string_pairs)
-def test_pauli_mul_matches_matrix_product(pair):
-    a, b = PauliString(pair[0]), PauliString(pair[1])
-    phase, c = pauli_mul(a, b)
-    assert phase in (1, 1j, -1, -1j)
-    assert np.array_equal(a.matrix() @ b.matrix(), phase * c.matrix())
 
 
 @PROPERTY

@@ -7,7 +7,6 @@ from phasebus.paulis import (
     PauliString,
     apply_pauli,
     pauli_decompose,
-    pauli_mul,
     pauli_sum_matrix,
 )
 from phasebus.states import StateVector
@@ -50,25 +49,6 @@ def test_matrix_is_little_endian():
     assert np.allclose(np.diag(m), [1, -1, 1, -1])
     m = PauliString("IZ").matrix()
     assert np.allclose(np.diag(m), [1, 1, -1, -1])
-
-
-def test_single_qubit_products():
-    phase, p = pauli_mul(PauliString("X"), PauliString("Y"))
-    assert p.labels == "Z" and phase == 1j
-    phase, p = pauli_mul(PauliString("Y"), PauliString("X"))
-    assert p.labels == "Z" and phase == -1j
-    phase, p = pauli_mul(PauliString("Z"), PauliString("Z"))
-    assert p.labels == "I" and phase == 1
-
-
-def test_product_matches_matrices():
-    rng = np.random.default_rng(3)
-    letters = list("IXYZ")
-    for _ in range(50):
-        a = PauliString("".join(rng.choice(letters, size=3)))
-        b = PauliString("".join(rng.choice(letters, size=3)))
-        phase, c = pauli_mul(a, b)
-        assert np.allclose(a.matrix() @ b.matrix(), phase * c.matrix(), atol=1e-12)
 
 
 def test_commutation_matches_matrices():

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from phasebus.protocols import cluster_state, w_state
 from phasebus.states import StateVector, expectation
 from phasebus.witnesses import (
     BASIS_DIRECTIONS,
+    MeasurementSetting,
     StabilizerSet,
     WitnessOperator,
     _w_terms,
@@ -61,15 +63,17 @@ def kron_qubits(mats) -> np.ndarray:
     return full
 
 
-def count_operator(bases, weights) -> np.ndarray:
-    """sum over outcome strings o of weights[#(o_q = +1)] prod_q P_q(o_q),
-    with P_q(o) = (I + o sigma . n_q) / 2."""
+def term_operator(bases, weights, support) -> np.ndarray:
+    """sum over outcome strings o on the support of weights[#(o_q = +1)]
+    prod_{q in support} P_q(o_q), identity elsewhere, with
+    P_q(o) = (I + o sigma . n_q) / 2."""
     n = len(bases)
     total = np.zeros((2**n, 2**n), dtype=complex)
-    for index in range(2**n):
-        signs = [1 - 2 * ((index >> q) & 1) for q in range(n)]
-        projectors = [(np.eye(2) + o * axis_matrix(b)) / 2 for o, b in zip(signs, bases)]
-        total += weights[signs.count(1)] * kron_qubits(projectors)
+    for signs in itertools.product((1, -1), repeat=len(support)):
+        factors = [np.eye(2)] * n
+        for q, o in zip(support, signs):
+            factors[q] = (np.eye(2) + o * axis_matrix(bases[q])) / 2
+        total += weights[signs.count(1)] * kron_qubits(factors)
     return total
 
 
@@ -104,14 +108,8 @@ def plan_matrix(witness: WitnessOperator) -> np.ndarray:
     n = witness.qubit_count
     total = witness.offset * np.eye(2**n, dtype=complex)
     for setting in group_settings(witness):
-        if setting.count_weights is not None:
-            total += count_operator(setting.bases, setting.count_weights)
-        for coeff, support in setting.shot_terms:
-            mats = [
-                axis_matrix(setting.bases[q]) if q in support else np.eye(2)
-                for q in range(n)
-            ]
-            total += coeff * kron_qubits(mats)
+        for weights, support in setting.terms:
+            total += term_operator(setting.bases, weights, support)
     return total
 
 
@@ -224,7 +222,8 @@ class TestWCollectivePlan:
         assert len(settings) == counts[n] <= (n + 1) * (n + 2) // 2
         for s in settings:
             assert len(set(s.bases)) == 1 and len(s.bases) == n
-            assert s.shot_terms == () and len(s.count_weights) == n + 1
+            [(weights, support)] = s.terms
+            assert support == tuple(range(n)) and len(weights) == n + 1
 
     @pytest.mark.parametrize("n", [7, 8, 9, 10])
     def test_plan_expectation_matches_exact(self, n):
@@ -238,7 +237,8 @@ class TestWCollectivePlan:
             for s in group_settings(w):
                 direction = (0.0, 0.0) if s.bases[0] == "z" else s.bases[0]
                 dist = rotated_count_distribution(state.amplitudes, n, direction)
-                value += float(dist @ np.asarray(s.count_weights))
+                [(weights, _)] = s.terms
+                value += float(dist @ np.asarray(weights))
             assert value == pytest.approx(expectation(state, w.terms), abs=1e-12)
 
 
@@ -266,6 +266,74 @@ class TestClusterStabilizers:
     def test_rejects_noncommuting_set(self):
         with pytest.raises(ValueError, match="commute"):
             StabilizerSet((PauliString("XI"), PauliString("ZI")))
+
+
+def dense_generators(n: int) -> list[np.ndarray]:
+    """Chain generator k as a dense matrix: X on qubit k, Z on its neighbours."""
+    gens = []
+    for k in range(n):
+        factors = [np.eye(2)] * n
+        factors[k] = SIGMA["X"]
+        for q in (k - 1, k + 1):
+            if 0 <= q < n:
+                factors[q] = SIGMA["Z"]
+        gens.append(kron_qubits(factors))
+    return gens
+
+
+class TestClosedFormChainProducts:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_stabilizers_are_the_dense_generators(self, n):
+        for gen, dense in zip(cluster_stabilizers(n), dense_generators(n), strict=True):
+            assert np.array_equal(gen.matrix(), dense)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_witness_terms_are_dense_generator_products(self, n):
+        # each parity group's products in subset order (bit j of the subset
+        # index picks the group's j-th generator), odd positions' X first
+        gens = dense_generators(n)
+        expected = []
+        scales = []
+        for group in (gens[1::2], gens[0::2]):
+            scale = -2.0 / 2 ** len(group)
+            scales.append(scale)
+            for index in range(1, 2 ** len(group)):
+                product = np.eye(2**n)
+                for j, g in enumerate(group):
+                    if index >> j & 1:
+                        product = product @ g
+                expected.append((scale, product))
+        (offset, identity), *terms = cluster_witness(n).terms
+        assert identity.is_identity() and offset == 3.0 + scales[0] + scales[1]
+        assert len(terms) == len(expected)
+        for (coeff, pauli), (scale, product) in zip(terms, expected):
+            assert coeff == scale
+            assert np.array_equal(pauli.matrix(), product)
+
+
+class TestMeasurementSetting:
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            (((1.0, -1.0), (-1,)),),
+            (((1.0, -1.0, 1.0), (0, 0)),),
+            (((1.0, -1.0, 1.0), (1, 1)),),
+            (((1.0, -1.0), (2,)),),
+        ],
+        ids=["negative", "repeated-0", "repeated-1", "past-last"],
+    )
+    def test_rejects_support_outside_distinct_qubits(self, terms):
+        with pytest.raises(ValueError, match="support"):
+            MeasurementSetting(("z", "x"), terms)
+
+    @pytest.mark.parametrize("weights", [(1.0,), (1.0, -1.0, 1.0)])
+    def test_rejects_weight_count_other_than_support_plus_one(self, weights):
+        with pytest.raises(ValueError, match="one weight per count"):
+            MeasurementSetting(("z", "x"), ((weights, (1,)),))
+
+    def test_accepts_product_and_count_terms(self):
+        setting = MeasurementSetting(("z", "x"), (((-0.5, 0.5), (1,)), ((1.0, 2.0, 3.0), (1, 0))))
+        assert len(setting.terms) == 2
 
 
 class TestClusterWitness:

@@ -13,11 +13,12 @@ commands are:
 
 - the ``lab-day`` and ``w-witness`` experiment lists of
   ``bench/workloads.py``, for seeds 1 and 2
-- ``witness`` w3 ``--decomposed``, c4, w5 and c10, each with 50 shots and
-  ``--emit-shots``; exact ``witness`` w8 and w10; exact ``tomo`` and
+- ``witness`` w3 ``--decomposed``, c4, c5, w5 and c10, each with 50 shots
+  and ``--emit-shots``; exact ``witness`` c7, w8 and w10; exact ``tomo`` and
   ``tomo`` with 1000 shots; ``spectroscopy --points 3``. These run at the
   demo readout fidelity (0.96), so report flips fire, unlike in
-  ``lab-day``, which reads out at ``--readout-f 1``
+  ``lab-day``, which reads out at ``--readout-f 1``. The odd chains c5
+  and c7 have stabilizer groups of unequal size, unlike c4 and c10
 - at the same fidelity, shot counts that cross the sampler's uniform-draw
   blocks of 4,096 shots: ``witness`` c4 with 3 * 4096 + 7 shots and
   ``--emit-shots``, ``witness`` w6 with 4096 + 1 shots and
@@ -73,8 +74,10 @@ EXTRA = {
     "witness-w3-decomposed": ["witness", "--target", "w3", "--decomposed",
                               "--shots", "50", "--emit-shots"],
     "witness-c4": ["witness", "--target", "c4", "--shots", "50", "--emit-shots"],
+    "witness-c5": ["witness", "--target", "c5", "--shots", "50", "--emit-shots"],
     "witness-w5": ["witness", "--target", "w5", "--shots", "50", "--emit-shots"],
     "witness-c10": ["witness", "--target", "c10", "--shots", "50", "--emit-shots"],
+    "witness-c7-exact": ["witness", "--target", "c7"],
     "witness-w8-exact": ["witness", "--target", "w8"],
     "witness-w10-exact": ["witness", "--target", "w10"],
     "tomo-exact": ["tomo", "--target", "bell:1:2"],
