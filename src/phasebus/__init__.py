@@ -22,7 +22,6 @@ _SUBMODULE_EXPORTS = {
         "ProtocolError",
         "TlsParams",
         "full_hamiltonian",
-        "iswap",
         "resonant_evolution",
         "rwa_infidelity",
     ),
@@ -79,7 +78,6 @@ _SUBMODULE_EXPORTS = {
     ),
     "witnesses": (
         "MeasurementSetting",
-        "StabilizerSet",
         "WitnessOperator",
         "cluster_stabilizers",
         "cluster_witness",

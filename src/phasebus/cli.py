@@ -237,12 +237,11 @@ def _cmd_witness(args, config: DeviceConfig) -> Report:
 
 def _cmd_tomo(args, config: DeviceConfig) -> Report:
     from .measurement import ReadoutModel, tomography_two_qubit
-    from .protocols import run_bell
-    from .states import StateVector
+    from .protocols import bell_state, run_bell
 
     _check_count("--shots", args.shots, 0)
     j, k = _parse_pair(args.target)
-    target = StateVector(np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2))
+    target = bell_state(2, 1, 2)
     state = run_bell(config, j, k).final_state
     readout = ReadoutModel(config.readout_fidelity, args.seed)
     shots = args.shots if args.shots > 0 else None

@@ -29,8 +29,11 @@ GHZ_TO_RAD = 2.0 * np.pi * 1e9
 MHZ_TO_RAD = 2.0 * np.pi * 1e6
 
 
-def tls_from_splitting(tls_id: str, omega_r_ghz: float, splitting_mhz: float) -> TlsParams:
+def tls_from_splitting(tls_id: str | int, omega_r_ghz: float, splitting_mhz: float) -> TlsParams:
     """TLS parameters from a spectroscopy line: position and gap."""
+    # str() would name a TLS after a null, a list or a boolean
+    if isinstance(tls_id, bool) or not isinstance(tls_id, (str, int)) or tls_id == "":
+        raise TypeError(f"TLS id {tls_id!r} is not a non-empty string or an integer")
     return TlsParams(
         id=str(tls_id),
         omega_r=omega_r_ghz * GHZ_TO_RAD,

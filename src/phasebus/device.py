@@ -203,11 +203,6 @@ def resonant_evolution(
     return apply_unitary(state, gate, [0, j])
 
 
-def iswap(state: StateVector, j: int, config: DeviceConfig) -> StateVector:
-    """Full excitation swap between the bus and TLS j (window of tau_j)."""
-    return resonant_evolution(state, j, config.swap_time(j), config)
-
-
 def rotating_frame_transform(state: StateVector, omega: float, t: float) -> StateVector:
     """Undo free rotation at angular frequency omega on every qubit.
 

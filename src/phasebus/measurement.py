@@ -28,7 +28,7 @@ from itertools import product
 import numpy as np
 
 from .device import ProtocolError
-from .paulis import SIGMA, PauliString
+from .paulis import PauliString, pauli_sum_matrix
 from .states import (
     DensityMatrix,
     StateVector,
@@ -118,10 +118,10 @@ class ShotRecord:
     """Reported outcomes of the read qubits, one outcome pattern per shot.
 
     ``patterns[s]`` has bit m-1-k set when read qubit k (of m) reported -1
-    in shot s; ``outcomes`` unpacks them into a (shots, m) +-1 array.  In
-    CSV form each row is one shot's +-1 outcomes and each column header is
-    ``q{qubit}:{basis}``, the basis written as its label or, for a Bloch
-    direction, as ``{theta}/{phi}`` in radians with round-trip float text.
+    in shot s.  In CSV form each row is one shot's +-1 outcomes and each
+    column header is ``q{qubit}:{basis}``, the basis written as its label
+    or, for a Bloch direction, as ``{theta}/{phi}`` in radians with
+    round-trip float text.
     """
 
     qubits: tuple[int, ...]
@@ -131,10 +131,6 @@ class ShotRecord:
     def __post_init__(self):
         if self.patterns.ndim != 1:
             raise ValueError("pattern array must be one-dimensional")
-
-    @property
-    def outcomes(self) -> np.ndarray:
-        return _pattern_outcomes(self.patterns, len(self.qubits))
 
     def to_csv(self, path) -> None:
         m = len(self.qubits)
@@ -266,9 +262,9 @@ def estimate_witness_sampled(
 ) -> WitnessEstimate:
     """Estimate a witness from shots, one local setting at a time.
 
-    ``state`` is the prepared register state (bus + TLSs) with the bus in
-    |0>; every setting measures its own copies of it, and witness qubit q
-    lives on TLS q+1.  The estimate combines the per-setting shot values
+    ``state`` is the prepared register state (bus + TLSs), its bus in |0>
+    to 1e-9; every setting measures its own copies of it, and witness qubit
+    q lives on TLS q+1.  The estimate combines the per-setting shot values
     with the witness offset; the standard error adds the per-setting sample
     variances.  No readout-bias correction is applied: at F < 1 the raw
     estimate shrinks by (2F - 1) per measured qubit and ``bias_factor``
@@ -279,6 +275,8 @@ def estimate_witness_sampled(
     n = witness.qubit_count
     if state.num_qubits < n + 1:
         raise ValueError("prepared state smaller than the witness register")
+    if _measured_probabilities(state, [0])[1] > 1e-9:  # tls_register_state's tolerance
+        raise ProtocolError("sampled witness estimation needs the bus in |0>")
     settings = group_settings(witness)
     qubits = list(range(1, n + 1))
 
@@ -290,7 +288,7 @@ def estimate_witness_sampled(
         record = sample_shots(
             state, qubits, setting.bases, shots_per_setting, readout, rng
         )
-        values = _value_table(setting, n)[record.patterns]
+        values = _value_table(setting)[record.patterns]
         total += float(values.mean())
         var_total += float(values.var(ddof=1)) / shots_per_setting
         if keep_records:
@@ -303,13 +301,14 @@ def estimate_witness_sampled(
     )
 
 
-def _value_table(setting: MeasurementSetting, m: int) -> np.ndarray:
-    """A setting's shot value for each of the 2^m outcome patterns.
+def _value_table(setting: MeasurementSetting) -> np.ndarray:
+    """A setting's shot value for each outcome pattern of its m bases.
 
     A set bit is a -1 outcome, so a term's count of +1 outcomes is its
     support size less the support bits the pattern sets.  Terms accumulate
     in order, so every entry is the float sum the per-shot rule gives.
     """
+    m = len(setting.bases)
     patterns = np.arange(2**m)
     values = np.zeros(2**m)
     for weights, support in setting.terms:
@@ -388,11 +387,9 @@ def tomography_two_qubit(
         e[1:, 0] /= 3 * shots_per_setting
         e[0, 1:] /= 3 * shots_per_setting
 
-    rho = np.zeros((4, 4), dtype=np.complex128)
-    for a in range(4):
-        for b in range(4):
-            rho += e[a, b] * np.kron(SIGMA[_AXES[b]], SIGMA[_AXES[a]])
-    rho /= 4.0
+    terms = [(e[a, b], PauliString(_AXES[a] + _AXES[b]))
+             for a, b in product(range(4), repeat=2)]
+    rho = pauli_sum_matrix(terms, 2) / 4
     dm = DensityMatrix(rho)
     fid = state_dm_fidelity(target, dm) if target is not None else None
     physical = bool(np.linalg.eigvalsh(rho).min() >= -1e-6)

@@ -6,7 +6,7 @@ qubit 2 (reading order matches qubit order).
 Every action goes through the binary (x, z) form of Aaronson & Gottesman,
 PRA 70, 052328 (2004): P = i^{|x & z|} X^x Z^z, where bit q of each mask
 is qubit q.  X sets the x bit, Z the z bit and Y = i X Z sets both, so
-commutation and P|psi> are integer mask arithmetic.
+P|psi> is one gather and one sign vector over integer masks.
 """
 
 from __future__ import annotations
@@ -70,12 +70,6 @@ class PauliString:
         # np.kron is big-endian, so the highest qubit goes outermost
         return reduce(np.kron, (SIGMA[c] for c in reversed(self.labels)))
 
-    def commutes_with(self, other: "PauliString") -> bool:
-        if len(self.labels) != len(other.labels):
-            raise ValueError("qubit counts differ")
-        anti = (self.x_mask & other.z_mask) ^ (self.z_mask & other.x_mask)
-        return anti.bit_count() % 2 == 0
-
 
 def apply_pauli(pauli: PauliString, state: StateVector) -> StateVector:
     """P|psi> as one gather and one sign vector:
@@ -88,16 +82,9 @@ def apply_pauli(pauli: PauliString, state: StateVector) -> StateVector:
     return StateVector(sign * state.amplitudes[src])
 
 
-def pauli_sum_matrix(terms, num_qubits: int | None = None) -> np.ndarray:
-    """Dense matrix of sum_k coeff_k * P_k."""
-    terms = list(terms)
-    if not terms:
-        if num_qubits is None:
-            raise ValueError("empty term list needs an explicit qubit count")
-        d = 2**num_qubits
-        return np.zeros((d, d), dtype=np.complex128)
-    n = terms[0][1].num_qubits
-    mat = np.zeros((2**n, 2**n), dtype=np.complex128)
+def pauli_sum_matrix(terms, num_qubits: int) -> np.ndarray:
+    """Dense matrix of sum_k coeff_k * P_k on ``num_qubits`` qubits."""
+    mat = np.zeros((2**num_qubits, 2**num_qubits), dtype=np.complex128)
     for coeff, pauli in terms:
         mat += coeff * pauli.matrix()
     return mat

@@ -41,9 +41,6 @@ class StateVector:
     def num_qubits(self) -> int:
         return self.amplitudes.size.bit_length() - 1
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 @dataclass(eq=False)
 class DensityMatrix:
@@ -66,10 +63,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def num_qubits(self) -> int:
-        return self.dim.bit_length() - 1
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
@@ -246,20 +239,12 @@ def _measured_probabilities(state: StateVector, qubits) -> np.ndarray:
     return p.transpose(tuple(reversed(range(p.ndim))))
 
 
-def expectation(state: StateVector, op) -> float:
-    """<psi|O|psi> for a PauliString or a weighted Pauli-term list.  Returns
-    the real part; the imaginary part must be negligible (Hermitian
-    observables only)."""
-    from .paulis import PauliString, apply_pauli  # local import: layering
+def expectation(state: StateVector, pauli) -> float:
+    """<psi|P|psi> for one PauliString P, as a float.  A Pauli string is
+    Hermitian, so the imaginary part must be roundoff."""
+    from .paulis import apply_pauli  # local import: layering
 
-    if isinstance(op, PauliString):
-        val = np.vdot(state.amplitudes, apply_pauli(op, state).amplitudes)
-    else:
-        val = 0.0 + 0.0j
-        for coeff, pauli in op:
-            val += coeff * np.vdot(
-                state.amplitudes, apply_pauli(pauli, state).amplitudes
-            )
+    val = np.vdot(state.amplitudes, apply_pauli(pauli, state).amplitudes)
     if not np.isfinite(val):
         raise ValueError(f"expectation {val} is not finite")
     if not abs(val.imag) <= 1e-10 * max(1.0, abs(val.real)):

@@ -94,6 +94,8 @@ class WitnessOperator:
 
     def __post_init__(self):
         for coeff, pauli in self.terms:
+            if not np.isfinite(coeff):
+                raise ValueError(f"witness coefficient {coeff} is not finite")
             if abs(complex(coeff).imag) > 1e-12:
                 raise ValueError("witness coefficients must be real")
             if pauli.num_qubits != self.qubit_count:
@@ -112,7 +114,7 @@ def witness_value_exact(state: StateVector, witness: WitnessOperator) -> float:
     if witness.projector is not None:
         level, target = witness.projector
         return float(level - abs(np.vdot(target.amplitudes, state.amplitudes)) ** 2)
-    return expectation(state, witness.terms)
+    return float(sum(coeff * expectation(state, p) for coeff, p in witness.terms))
 
 
 # W-state witnesses ------------------------------------------------------------
@@ -239,27 +241,6 @@ def w3_witness_decomposed() -> WitnessOperator:
 # cluster-state witnesses --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StabilizerSet:
-    """Commuting +-1 generators whose joint +1 eigenstate is the target."""
-
-    generators: tuple[PauliString, ...]
-
-    def __post_init__(self):
-        gens = tuple(self.generators)
-        for i, a in enumerate(gens):
-            for b in gens[i + 1 :]:
-                if not a.commutes_with(b):
-                    raise ValueError(f"{a} and {b} do not commute")
-        object.__setattr__(self, "generators", gens)
-
-    def __iter__(self):
-        return iter(self.generators)
-
-    def __len__(self):
-        return len(self.generators)
-
-
 def _chain_product(sites, n: int) -> PauliString:
     """Product of the chain generators centred on ``sites`` (0-based).
 
@@ -277,11 +258,12 @@ def _chain_product(sites, n: int) -> PauliString:
     return PauliString("".join(labels))
 
 
-def cluster_stabilizers(n: int) -> StabilizerSet:
-    """Chain generators X Z I..., Z X Z ..., ... I Z X."""
+def cluster_stabilizers(n: int) -> tuple[PauliString, ...]:
+    """Chain generators X Z I..., Z X Z ..., ... I Z X.  They commute:
+    neighbours anticommute on two sites, generators two apart share a Z."""
     if n < 2:
         raise ValueError("cluster chain needs at least two qubits")
-    return StabilizerSet(tuple(_chain_product([k], n) for k in range(n)))
+    return tuple(_chain_product([k], n) for k in range(n))
 
 
 def cluster_witness(n: int) -> WitnessOperator:

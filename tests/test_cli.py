@@ -94,7 +94,7 @@ class TestLoadConfig:
 
 
 def assert_field_rejected(tmp_path, capsys, section, field, value):
-    """A valid config with one number replaced by ``value`` exits 3 with one
+    """A valid config with one field replaced by ``value`` exits 3 with one
     ``invalid config`` line and writes no output."""
     data = {
         "device": {"omega10_ghz": 6.0, "readout_fidelity": 0.96, "omega_p0_ghz": 7.6},
@@ -191,6 +191,19 @@ class TestExitCodes:
         # float("0.96") parses, but a JSON string is no measurement; a JSON
         # integer beyond float range overflows float()
         assert_field_rejected(tmp_path, capsys, section, field, text)
+
+    @pytest.mark.parametrize(
+        "tls_id", [None, [1], True, 1.5, {"a": 1}, ""],
+        ids=["null", "list", "true", "float", "object", "empty"],
+    )
+    def test_malformed_tls_id_rejected(self, tmp_path, capsys, tls_id):
+        # str() would load these as "None", "[1]", "True", "1.5", "{'a': 1}", ""
+        assert_field_rejected(tmp_path, capsys, "tls", "id", tls_id)
+
+    def test_integer_tls_id_loads_as_text(self):
+        data = {"device": {"omega10_ghz": 6.0},
+                "tls": [{"id": 7, "omega_r_ghz": 5.0, "splitting_mhz": 40.0}]}
+        assert parse_config(data).tls[0].id == "7"
 
     def test_out_of_memory_exits_four(self, small_config_path, tmp_path, capsys,
                                       monkeypatch):

@@ -14,7 +14,6 @@ from phasebus.device import (
     TlsParams,
     exchange_window_gate,
     full_hamiltonian,
-    iswap,
     odd_parity_block,
     resonant_evolution,
     rotating_frame_transform,
@@ -175,7 +174,7 @@ class TestResonantEvolution:
 
 class TestIswap:
     def test_dark_state(self, config3):
-        out = iswap(basis_state("0ggg"), 2, config3)
+        out = resonant_evolution(basis_state("0ggg"), 2, config3.swap_time(2), config3)
         assert out.amplitudes[0] == 1.0
 
     def test_four_swaps_identity(self, config3):
@@ -185,7 +184,7 @@ class TestIswap:
         state = basis_state("1ggg")
         out = state
         for _ in range(4):
-            out = iswap(out, 1, config3)
+            out = resonant_evolution(out, 1, config3.swap_time(1), config3)
         assert np.abs(out.amplitudes - state.amplitudes).max() < 1e-10
 
 

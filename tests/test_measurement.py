@@ -7,7 +7,7 @@ import pytest
 
 from conftest import DEMO_CONFIG, simple_config
 from phasebus.config_io import load_config
-from phasebus.device import ProtocolError, iswap
+from phasebus.device import ProtocolError, resonant_evolution
 from phasebus.measurement import (
     _AXES,
     _SHOT_BLOCK,
@@ -104,7 +104,7 @@ class TestMeasureBus:
             for k, q in enumerate((1, 2, 3)):
                 if k:
                     psi = reset_bus(psi)
-                outcome, psi = measure_bus(iswap(psi, q, config3), ro)
+                outcome, psi = measure_bus(swap(psi, q, config3), ro)
                 total += outcome
             assert total == 1
 
@@ -147,6 +147,16 @@ class TestRotateForBasis:
             rotate_for_basis(basis_state("0"), 0, (np.nan, 0.0))
 
 
+def swap(state, j, config):
+    """Full excitation swap between the bus and TLS j: one window of tau_j."""
+    return resonant_evolution(state, j, config.swap_time(j), config)
+
+
+def outcomes(record):
+    """A shot record's (shots, m) +-1 outcomes."""
+    return _pattern_outcomes(record.patterns, len(record.qubits))
+
+
 def physical_shots(state, qubits, bases, shots, config, readout, rng):
     """Oracle for ``sample_shots``: walk the explicit per-shot sequence.
 
@@ -166,7 +176,7 @@ def physical_shots(state, qubits, bases, shots, config, readout, rng):
         for k, q in enumerate(qubits):
             if k > 0:
                 psi = reset_bus(psi)
-            reported[s, k], psi = measure_bus(iswap(psi, q, config), bus)
+            reported[s, k], psi = measure_bus(swap(psi, q, config), bus)
     return 1 - 2 * reported
 
 
@@ -225,7 +235,7 @@ class TestSampleShots:
             phys = physical_shots(
                 state, qubits, bases, 300, config3, ro, derive_rng(5, "cmp")
             )
-            assert np.array_equal(fast.outcomes, phys)
+            assert np.array_equal(outcomes(fast), phys)
 
     def test_requires_ascending_qubits(self, config3):
         state = run_w_protocol(config3, 3).final_state
@@ -245,7 +255,7 @@ class TestSampleShots:
         ro = ReadoutModel(fidelity, seed=13)
         state = basis_state("0egg")  # TLS 1 excited: true z value -1
         rec = sample_shots(state, [1], ("z",), 40000, ro, derive_rng(1, "bias"))
-        mean = rec.outcomes.mean()
+        mean = outcomes(rec).mean()
         expected = -(2 * fidelity - 1)
         sigma = np.sqrt((1 - expected**2) / 40000)
         assert abs(mean - expected) < 4 * sigma
@@ -256,7 +266,7 @@ class TestSampleShots:
         rec = sample_shots(state, [1, 2], ("x", "z"), 40, ro, derive_rng(2, "csv"))
         path = tmp_path / "shots.csv"
         rec.to_csv(path)
-        assert path.read_bytes() == csv_writer_bytes(["q1:x", "q2:z"], rec.outcomes)
+        assert path.read_bytes() == csv_writer_bytes(["q1:x", "q2:z"], outcomes(rec))
 
     def test_csv_equals_csv_writer_for_directions(self, tmp_path, config3):
         # labels keep their header text; a direction is written theta/phi
@@ -269,7 +279,7 @@ class TestSampleShots:
         path = tmp_path / "shots.csv"
         rec.to_csv(path)
         header = ["q1:z+x", "q2:0.5711986642890533/2.0943951023931953", "q3:1.0/-0.25"]
-        assert path.read_bytes() == csv_writer_bytes(header, rec.outcomes)
+        assert path.read_bytes() == csv_writer_bytes(header, outcomes(rec))
 
     def test_csv_rows_match_csv_writer_across_blocks(self, tmp_path):
         # the streamed rows are byte for byte what csv.writer makes of the
@@ -278,12 +288,12 @@ class TestSampleShots:
         rec = ShotRecord((1, 2, 3), ("z", "x", "y"), rng.integers(0, 8, 2 * 4096 + 3))
         path = tmp_path / "shots.csv"
         rec.to_csv(path)
-        assert path.read_bytes() == csv_writer_bytes(["q1:z", "q2:x", "q3:y"], rec.outcomes)
+        assert path.read_bytes() == csv_writer_bytes(["q1:z", "q2:x", "q3:y"], outcomes(rec))
 
     def test_outcomes_unpack_patterns(self):
         # bit m-1-k of a pattern is set when read qubit k reported -1
         rec = ShotRecord((1, 2, 3), ("z", "z", "z"), np.array([0, 4, 1, 7]))
-        assert rec.outcomes.tolist() == [
+        assert outcomes(rec).tolist() == [
             [1, 1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1],
         ]
 
@@ -325,7 +335,7 @@ class TestValueTable:
         # is the most significant bit, and a set bit reads -1
         outcomes = np.array(list(itertools.product((1, -1), repeat=n)))
         for setting in group_settings(build(n)):
-            assert np.array_equal(_value_table(setting, n), shot_values(setting, outcomes))
+            assert np.array_equal(_value_table(setting), shot_values(setting, outcomes))
 
 
 class TestWitnessEstimation:
@@ -385,7 +395,14 @@ class TestWitnessEstimation:
         b = estimate_witness_sampled(state, wd, 500, ReadoutModel(0.96, 5), keep_records=True)
         assert a.value == b.value
         for ra, rb in zip(a.records, b.records):
-            assert np.array_equal(ra.outcomes, rb.outcomes)
+            assert np.array_equal(ra.patterns, rb.patterns)
+
+    def test_excited_bus_rejected(self):
+        # the settings read TLSs only, so a bus in |1> would pass unnoticed
+        # as a W-like register (about 0.69 for this state)
+        with pytest.raises(ProtocolError, match="bus"):
+            estimate_witness_sampled(basis_state([1, 0, 0, 0]), w_witness(3), 1000,
+                                     ReadoutModel(1.0, 1))
 
     def test_zero_shots_rejected(self, config3):
         wd = w3_witness_decomposed()

@@ -21,7 +21,6 @@ def labels_of(n):
 
 
 strings = st.integers(1, 6).flatmap(labels_of)
-string_pairs = st.integers(1, 6).flatmap(lambda n: st.tuples(labels_of(n), labels_of(n)))
 
 
 def random_amplitudes(seed, n):
@@ -59,14 +58,6 @@ def test_apply_pauli_equals_matrix(labels, seed):
     p = PauliString(labels)
     v = random_amplitudes(seed, len(labels))
     assert np.array_equal(apply_pauli(p, StateVector(v)).amplitudes, p.matrix() @ v)
-
-
-@PROPERTY
-@given(string_pairs)
-def test_commutes_with_matches_commutator(pair):
-    a, b = PauliString(pair[0]), PauliString(pair[1])
-    ma, mb = a.matrix(), b.matrix()
-    assert a.commutes_with(b) == np.array_equal(ma @ mb, mb @ ma)
 
 
 @PROPERTY

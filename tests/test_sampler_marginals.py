@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasebus.measurement import ReadoutModel, sample_shots
+from phasebus.measurement import ReadoutModel, _pattern_outcomes, sample_shots
 from phasebus.paulis import SIGMA
 from phasebus.states import StateVector
 from phasebus.witnesses import BASIS_DIRECTIONS
@@ -75,7 +75,7 @@ def test_marginals_match_born_probabilities(n, data, fidelity, seed):
 
     record = sample_shots(state, range(n), bases, SHOTS,
                           ReadoutModel(fidelity, seed), np.random.default_rng(seed))
-    o = record.outcomes
+    o = _pattern_outcomes(record.patterns, n)
     for q in range(n):
         for a in (1, -1):
             freq = float(np.mean(o[:, q] == a))

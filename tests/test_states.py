@@ -99,7 +99,7 @@ class TestApplyUnitary:
             targets = list(rng.choice(n, size=m, replace=False))
             s = _random_state(rng, n)
             out = apply_unitary(s, _haar_unitary(rng, 2**m), targets)
-            assert abs(out.norm() - 1.0) < 1e-12
+            assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
 
 class TestEvolve:
@@ -168,7 +168,7 @@ class TestEvolve:
             h = a + a.conj().T
             s = _random_state(rng, n)
             out = evolve(s, h, float(rng.uniform(0, 3)))
-            assert abs(out.norm() - 1.0) < 1e-12
+            assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
 
 class TestExpectation:
@@ -206,7 +206,8 @@ class TestExpectation:
         dense = 0.5 * PauliString("XZ").matrix() - 1.5 * PauliString("YI").matrix()
         s = _random_state(rng, 2)
         by_dense = float(np.real(np.vdot(s.amplitudes, dense @ s.amplitudes)))
-        assert expectation(s, terms) == pytest.approx(by_dense, abs=1e-10)
+        by_terms = sum(c * expectation(s, p) for c, p in terms)
+        assert by_terms == pytest.approx(by_dense, abs=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -378,5 +379,11 @@ class TestNonFiniteRejected:
     def test_expectation(self, bad):
         with pytest.raises(ValueError, match="not finite"):
             expectation(StateVector(np.array([bad, 0.0])), PauliString("Z"))
-        with pytest.raises(ValueError, match="not finite"):
-            expectation(basis_state("0"), [(bad, PauliString("Z"))])
+
+    def test_witness_coefficient(self, bad):
+        # expectation sees no coefficient, so the witness rejects it
+        from phasebus.witnesses import WitnessOperator
+
+        for coeff in (bad, complex(0.0, bad)):
+            with pytest.raises(ValueError, match="not finite"):
+                WitnessOperator([(1.0, PauliString("I")), (coeff, PauliString("Z"))], 1, [])

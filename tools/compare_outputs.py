@@ -47,6 +47,9 @@ commands are:
   and ``w-state --n 10``
 - ``tomo --target bell:3:1`` with 4096 + 1 shots: a descending pair across
   a draw block, at the demo readout fidelity
+- the exact per-term cluster sum at its smallest sizes, where a stabilizer
+  group has a single site: exact ``witness`` c2 and c3; and the density
+  matrix assembled on the last TLS pair: exact ``tomo --target bell:9:10``
 - every demo script
 
 stderr is not compared: warnings carry source paths and line numbers.
@@ -106,6 +109,9 @@ EXTRA = {
     "spectroscopy-50": ["spectroscopy", "--points", "50"],
     "spectroscopy-300": ["spectroscopy", "--points", "300"],
     "tomo-3-1-blocks": ["tomo", "--target", "bell:3:1", "--shots", "4097"],
+    "witness-c2-exact": ["witness", "--target", "c2"],
+    "witness-c3-exact": ["witness", "--target", "c3"],
+    "tomo-9-10-exact": ["tomo", "--target", "bell:9:10"],
 }
 # the demo config with its TLS list reversed, written into each run directory
 REVERSED_CONFIG = os.path.join("demos", "device_config_reversed.json")
