@@ -19,7 +19,7 @@ print(f"schedule for a {n}-qubit chain ({len(schedule)} instructions):")
 print("  " + schedule.to_text().replace("\n", "\n  ").rstrip())
 
 report, corrections = run_cluster_protocol(config, n)
-print(f"\nuncorrected fidelity      : {corrections.uncorrected_fidelity:.6f}")
+print(f"\nuncorrected fidelity      : {report.target_fidelity:.6f}")
 for variant, fid in sorted(corrections.fidelity_by_init.items()):
     print(f"corrected, bus '{variant}' : {fid:.12f}")
 print(f"winning preparation       : {corrections.best_bus_init}")

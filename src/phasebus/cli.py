@@ -1,5 +1,6 @@
 """Batch command line: load a device config, run one experiment, emit a
-deterministic report.
+deterministic report.  The report's manifest is the parsed command line;
+each command's handler fills that report with its rows and attachments.
 
 Exit codes: 0 success, 2 usage or config parse error, 3 config invariant
 violation, 4 physics-layer error or a run too large for memory, 5 output
@@ -102,23 +103,17 @@ def _parse_witness_target(target: str) -> tuple[str, int]:
     return kind, int(num)
 
 
-def _manifest(args, extra: dict) -> dict:
-    base = {
-        "command": args.command,
-        "config": args.config,
-        "seed": args.seed,
-        "out": args.out,
-        "readout_fidelity_override": args.readout_f,
-    }
-    base.update(extra)
-    return base
+def _manifest(args) -> dict:
+    """Every parsed argument; the readout override under its report name."""
+    manifest = vars(args).copy()
+    manifest["readout_fidelity_override"] = manifest.pop("readout_f")
+    return manifest
 
 
-def _cmd_w_state(args, config: DeviceConfig) -> Report:
+def _cmd_w_state(args, config: DeviceConfig, report: Report) -> None:
     from .protocols import run_w_protocol
 
     rep = run_w_protocol(config, args.n, args.mode)
-    report = Report(_manifest(args, {"n": args.n, "mode": args.mode}))
     report.add("target_fidelity", rep.target_fidelity)
     report.add("bus_disentangled", rep.bus_disentangled)
     report.add("bus_ground_population", rep.bus_ground_population)
@@ -130,38 +125,28 @@ def _cmd_w_state(args, config: DeviceConfig) -> Report:
         ["tls_index", "amplitude_magnitude"],
         [(j, float(m)) for j, m in enumerate(rep.amplitude_profile, start=1)],
     )
-    return report
 
 
-def _cmd_bell(args, config: DeviceConfig) -> Report:
+def _cmd_bell(args, config: DeviceConfig, report: Report) -> None:
     from .protocols import run_bell
     from .states import partial_trace
 
     j, k = _parse_pair(args.target)
     rep = run_bell(config, j, k)
-    report = Report(_manifest(args, {"target": args.target}))
     report.add("target_fidelity", rep.target_fidelity)
     report.add("bus_disentangled", rep.bus_disentangled)
     purity = partial_trace(rep.final_state, [j]).purity()
     report.add(f"tls_{j}_reduced_purity", purity)
     report.attach_text("schedule.txt", rep.schedule.to_text())
-    return report
 
 
-def _cmd_cluster(args, config: DeviceConfig) -> Report:
+def _cmd_cluster(args, config: DeviceConfig, report: Report) -> None:
     from .protocols import run_cluster_protocol, tls_register_state
     from .states import expectation
     from .witnesses import cluster_stabilizers
 
     rep, corr = run_cluster_protocol(config, args.n, args.bus_init)
-    report = Report(
-        _manifest(
-            args,
-            {"n": args.n, "bus_init": args.bus_init,
-             "search_corrections": args.search_corrections},
-        )
-    )
-    report.add("uncorrected_fidelity", corr.uncorrected_fidelity)
+    report.add("uncorrected_fidelity", rep.target_fidelity)
     report.add("best_corrected_fidelity", corr.best_fidelity)
     report.add("best_bus_init", corr.best_bus_init, units="variant")
     for variant, fid in sorted(corr.fidelity_by_init.items()):
@@ -178,7 +163,6 @@ def _cmd_cluster(args, config: DeviceConfig) -> Report:
             [(j, c) for j, c in enumerate(corr.corrections, start=1)],
         )
     report.attach_text("schedule.txt", rep.schedule.to_text())
-    return report
 
 
 def _witness_preparation(args, config: DeviceConfig):
@@ -198,7 +182,7 @@ def _witness_preparation(args, config: DeviceConfig):
     return witness, n, state
 
 
-def _cmd_witness(args, config: DeviceConfig) -> Report:
+def _cmd_witness(args, config: DeviceConfig, report: Report) -> None:
     from .protocols import tls_register_state
     from .witnesses import group_settings, witness_to_csv, witness_value_exact
 
@@ -208,13 +192,6 @@ def _cmd_witness(args, config: DeviceConfig) -> Report:
     if args.emit_shots and args.shots == 0:
         raise UsageError("--emit-shots needs --shots of at least 2")
     witness, n, state = _witness_preparation(args, config)
-    report = Report(
-        _manifest(
-            args,
-            {"target": args.target, "decomposed": args.decomposed,
-             "shots": args.shots},
-        )
-    )
     tls_state = tls_register_state(state, n)
     report.add("exact_value", witness_value_exact(tls_state, witness))
     settings = group_settings(witness)
@@ -232,10 +209,9 @@ def _cmd_witness(args, config: DeviceConfig) -> Report:
             for idx, record in enumerate(est.records):
                 report.attach_file(f"shots_setting_{idx}.csv", record.to_csv)
     report.attach_file("witness_terms.csv", functools.partial(witness_to_csv, witness))
-    return report
 
 
-def _cmd_tomo(args, config: DeviceConfig) -> Report:
+def _cmd_tomo(args, config: DeviceConfig, report: Report) -> None:
     from .measurement import ReadoutModel, tomography_two_qubit
     from .protocols import bell_state, run_bell
 
@@ -246,7 +222,6 @@ def _cmd_tomo(args, config: DeviceConfig) -> Report:
     readout = ReadoutModel(config.readout_fidelity, args.seed)
     shots = args.shots if args.shots > 0 else None
     result = tomography_two_qubit(state, j, k, shots, readout, target=target)
-    report = Report(_manifest(args, {"target": args.target, "shots": args.shots}))
     report.add("fidelity_vs_target", result.fidelity_vs_target)
     report.add("physical", result.physical)
     report.add("settings_used", result.settings_used, units="count")
@@ -259,10 +234,9 @@ def _cmd_tomo(args, config: DeviceConfig) -> Report:
     rho = result.rho.matrix
     report.attach_csv("rho_real.csv", [f"c{c}" for c in range(4)], np.real(rho).tolist())
     report.attach_csv("rho_imag.csv", [f"c{c}" for c in range(4)], np.imag(rho).tolist())
-    return report
 
 
-def _cmd_spectroscopy(args, config: DeviceConfig) -> Report:
+def _cmd_spectroscopy(args, config: DeviceConfig, report: Report) -> None:
     from .spectroscopy import (
         default_bias_grid, extract_tls_parameters, synth_spectroscopy,
     )
@@ -271,7 +245,6 @@ def _cmd_spectroscopy(args, config: DeviceConfig) -> Report:
     grid = default_bias_grid(config, args.points)
     scan = synth_spectroscopy(config, grid)
     crossings = extract_tls_parameters(scan)
-    report = Report(_manifest(args, {"points": args.points}))
     report.add("crossings_found", len(crossings), units="count")
     for idx, c in enumerate(crossings, start=1):
         report.add(f"crossing_{idx}_bias", c.center_bias, units="I/I0")
@@ -295,13 +268,11 @@ def _cmd_spectroscopy(args, config: DeviceConfig) -> Report:
         ["center_bias", "splitting_hz", "tls_frequency_hz"],
         [(c.center_bias, c.splitting, c.tls_frequency) for c in crossings],
     )
-    return report
 
 
-def _cmd_rwa_check(args, config: DeviceConfig) -> Report:
+def _cmd_rwa_check(args, config: DeviceConfig, report: Report) -> None:
     from .device import rwa_infidelity
 
-    report = Report(_manifest(args, {"tls": args.tls}))
     targets = (
         [(args.tls, config.tls_params(args.tls))]
         if args.tls is not None
@@ -312,7 +283,6 @@ def _cmd_rwa_check(args, config: DeviceConfig) -> Report:
         infid = rwa_infidelity(tuned, j, tuned.swap_time(j))
         report.add(f"rwa_infidelity_{tls.id}", infid)
         report.add(f"coupling_ratio_{tls.id}", tls.coupling / tls.omega_r)
-    return report
 
 
 _HANDLERS = {
@@ -334,15 +304,16 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.readout_f is not None:
             config = dataclasses.replace(config, readout_fidelity=args.readout_f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         print(f"phasebus: cannot read config: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"phasebus: invalid config: {exc}", file=sys.stderr)
         return 3
 
+    report = Report(_manifest(args))
     try:
-        report = _HANDLERS[args.command](args, config)
+        _HANDLERS[args.command](args, config, report)
     except UsageError as exc:
         print(f"phasebus: {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -80,8 +80,9 @@ def parse_config(data: dict) -> DeviceConfig:
 def load_config(path) -> DeviceConfig:
     """Read and validate a device config file.
 
-    Raises json.JSONDecodeError / OSError for unreadable input and
-    ConfigError when a physical invariant fails.
+    Raises OSError, UnicodeDecodeError, json.JSONDecodeError or
+    RecursionError for input that is not JSON text, and ConfigError when a
+    physical invariant fails.
     """
     with open(path) as fh:
         data = json.load(fh)

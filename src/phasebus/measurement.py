@@ -92,8 +92,8 @@ def measure_bus(state: StateVector, readout: ReadoutModel) -> tuple[int, StateVe
     rows = qubit_rows(state, [0])
     collapsed = np.zeros_like(rows)
     collapsed[true] = rows[true] / np.linalg.norm(rows[true])
-    reported = true ^ int(u_flip < 1.0 - readout.fidelity)
-    return reported, join_qubit_rows(collapsed, [0])
+    outcome = true ^ int(u_flip < 1.0 - readout.fidelity)
+    return outcome, join_qubit_rows(collapsed, [0])
 
 
 def rotate_for_basis(state: StateVector, qubit: int, basis) -> StateVector:

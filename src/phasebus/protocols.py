@@ -183,7 +183,6 @@ class CorrectionReport:
     corrections: tuple[str, ...]
     exponents: tuple[int, ...]
     fidelity_by_init: dict[str, float]
-    uncorrected_fidelity: float
     sequence_inexact: bool
     corrected_state: StateVector
 
@@ -464,15 +463,13 @@ def run_cluster_protocol(
     best_variant = max(results, key=lambda v: results[v][2])
     _, best_final, best, labels, idx = results[best_variant]
     exponents = tuple(int(k) for k in idx)
-    report = _score(*results[bus_init][:2], target, config.num_tls)
     correction = CorrectionReport(
         best_fidelity=best,
         best_bus_init=best_variant,
         corrections=labels,
         exponents=exponents,
         fidelity_by_init={v: results[v][2] for v in results},
-        uncorrected_fidelity=report.target_fidelity,
         sequence_inexact=best < 1.0 - 1e-6,
         corrected_state=apply_phase_corrections(best_final, exponents),
     )
-    return report, correction
+    return _score(*results[bus_init][:2], target, config.num_tls), correction

@@ -39,8 +39,8 @@ class SpectroscopyScan:
     def __post_init__(self):
         bias = np.asarray(self.bias_points, dtype=float)
         freqs = np.asarray(self.branch_frequencies, dtype=float)
-        if freqs.shape[0] != bias.size:
-            raise ValueError("one frequency row per bias point required")
+        if bias.ndim != 1 or freqs.ndim != 2 or freqs.shape[0] != bias.size:
+            raise ValueError("1-D bias points and one frequency row per point required")
         if not (np.all(np.isfinite(bias)) and np.all(np.isfinite(freqs))):
             raise ValueError("bias points and branch frequencies must be finite")
         if np.any(np.diff(bias) <= 0):
@@ -135,7 +135,6 @@ def synth_spectroscopy(config: DeviceConfig, bias_grid) -> SpectroscopyScan:
     # row that holds or brackets a column's minimum was, so the observation
     # reads exactly what a full sweep would give
     gap_lb = np.diff(branches, axis=1)
-    swept = True
     for _ in range(12):
         observed = _observed_crossings(bias, branches, gap_lb)
         if observed is None:
@@ -169,10 +168,7 @@ def synth_spectroscopy(config: DeviceConfig, bias_grid) -> SpectroscopyScan:
         gap_lb -= shift
         branches[rows] = _level_branches(fq[rows], levels, g)
         gap_lb[rows] = np.diff(branches[rows], axis=1)
-        swept = rows.size == bias.size
-    if not swept:
-        branches = _level_branches(fq, levels, g)
-    return SpectroscopyScan(bias, branches)
+    return SpectroscopyScan(bias, _level_branches(fq, levels, g))
 
 
 # relative size of LAPACK's eigenvalue error allowed for, some 1e5 times

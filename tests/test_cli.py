@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from phasebus.cli import main
+from phasebus.cli import build_parser, main
 from phasebus.config_io import example_config_dict, load_config, parse_config
 from phasebus.device import ConfigError
 from phasebus.measurement import ReadoutModel, estimate_witness_sampled
@@ -128,6 +128,24 @@ class TestExitCodes:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"\xff\xfe\x00\x01",  # not UTF-8: json.load never sees text
+            b"[" * 100_000 + b"]" * 100_000,  # deeper than the decoder recurses
+        ],
+        ids=["not-utf8", "deep-nesting"],
+    )
+    def test_config_not_json_text(self, tmp_path, capsys, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(payload)
+        rc = main(["w-state", "--config", str(bad), "--n", "2",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("phasebus: cannot read config: ") and err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "o")
+
     def test_invariant_violation(self, tmp_path):
         data = {
             "device": {"omega10_ghz": 6.0},
@@ -209,7 +227,7 @@ class TestExitCodes:
                                       monkeypatch):
         import phasebus.cli
 
-        def exhausted(args, config):
+        def exhausted(args, config, report):
             raise MemoryError("Unable to allocate 745. GiB for an array")
 
         monkeypatch.setitem(phasebus.cli._HANDLERS, "spectroscopy", exhausted)
@@ -490,6 +508,39 @@ class TestRwaCommand:
         assert rc == 0
         rows = read_rows(out)
         assert "rwa_infidelity_a" in rows
+
+
+class TestManifest:
+    COMMANDS = [
+        ["w-state", "--n", "2", "--mode", "general"],
+        ["bell", "--target", "bell:1:3", "--readout-f", "0.99"],
+        ["cluster", "--n", "2", "--search-corrections"],
+        ["witness", "--target", "w2", "--shots", "10", "--emit-shots"],
+        ["tomo", "--target", "bell:1:2", "--shots", "10"],
+        ["spectroscopy", "--points", "300"],
+        ["rwa-check", "--tls", "1"],
+    ]
+
+    @staticmethod
+    def _run(config_path, outdir, argv):
+        argv = [argv[0], "--config", config_path, "--seed", "3",
+                "--out", outdir, *argv[1:]]
+        assert main(argv) == 0
+        with open(os.path.join(outdir, "manifest.json")) as fh:
+            return json.load(fh), vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=[c[0] for c in COMMANDS])
+    def test_manifest_is_parsed_command_line(self, small_config_path, tmp_path, argv):
+        manifest, parsed = self._run(small_config_path, str(tmp_path / "o"), argv)
+        parsed["readout_fidelity_override"] = parsed.pop("readout_f")
+        assert manifest == parsed
+
+    def test_emit_shots_recorded(self, small_config_path, tmp_path):
+        argv = ["witness", "--target", "w2", "--shots", "10"]
+        plain, _ = self._run(small_config_path, str(tmp_path / "a"), argv)
+        emitted, _ = self._run(small_config_path, str(tmp_path / "b"),
+                               argv + ["--emit-shots"])
+        assert (plain["emit_shots"], emitted["emit_shots"]) == (False, True)
 
 
 class TestDeterminism:

@@ -568,10 +568,9 @@ class TestReportsMatchAssembly:
     @pytest.mark.parametrize("bus_init", [BUS_INIT_GROUND, BUS_INIT_PLUS])
     @pytest.mark.parametrize("n", [2, 3, 6, 10])
     def test_cluster(self, demo, n, bus_init):
-        report, correction = run_cluster_protocol(demo, n, bus_init)
+        report, _ = run_cluster_protocol(demo, n, bus_init)
         schedule = cluster_sequence(demo, n, bus_init)
         self.assert_report(report, demo, schedule, cluster_state(n), demo.num_tls)
-        assert correction.uncorrected_fidelity == report.target_fidelity
 
 
 class TestScheduleBoundary:

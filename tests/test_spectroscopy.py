@@ -65,6 +65,20 @@ class TestScanValidation:
         with pytest.raises(ValueError, match="positive"):
             SpectroscopyScan(np.array([0.5]), np.array([[-1.0, 5e9]]))
 
+    @pytest.mark.parametrize(
+        "bias, freqs",
+        [
+            # a 2-D bias array would land in the CSV's bias column as a list
+            (np.array([[0.1, 0.2, 0.3]]), np.full((3, 2), 5e9)),
+            # a 1-D frequency array has no branch axis
+            (np.array([0.1, 0.2, 0.3]), np.full(3, 5e9)),
+        ],
+        ids=["2d-bias", "1d-frequencies"],
+    )
+    def test_rejects_wrong_shapes(self, bias, freqs):
+        with pytest.raises(ValueError, match="1-D bias points and one frequency row"):
+            SpectroscopyScan(bias, freqs)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["bias", "frequency"])
     def test_rejects_non_finite(self, where, value):

@@ -53,7 +53,9 @@ commands are:
 - every demo script
 
 stderr is not compared: warnings carry source paths and line numbers.
-Exits 1 when anything differs, 0 otherwise.
+Exits 1 when anything differs, 0 otherwise. Exits 2 before running anything
+when a ``src`` path holds no ``phasebus`` package (every command would fail
+alike in both trees) or ``--work`` names anything but an empty directory.
 """
 
 from __future__ import annotations
@@ -210,6 +212,16 @@ def main(argv=None) -> int:
     parser.add_argument("new_src", help="src directory of the new tree")
     parser.add_argument("--work", help="run directory (kept); default: temporary")
     args = parser.parse_args(argv)
+    for src in (args.old_src, args.new_src):
+        if not os.path.isfile(os.path.join(src, "phasebus", "__init__.py")):
+            print(f"compare_outputs: no phasebus package under {src}", file=sys.stderr)
+            return 2
+    if args.work and os.path.lexists(args.work) and (
+        not os.path.isdir(args.work) or os.listdir(args.work)
+    ):
+        print(f"compare_outputs: --work {args.work} is not an empty directory",
+              file=sys.stderr)
+        return 2
 
     work = args.work or tempfile.mkdtemp(prefix="compare_outputs_")
     try:
