@@ -51,7 +51,7 @@ for name, state, witness, exact in (
     est = estimate_witness_sampled(state, witness, 50_000, ReadoutModel(1.0, seed=1))
     print(f"  {name}: {est.value:+.5f} +- {est.stderr:.5f}   (exact {exact:+.5f})")
 
-est = estimate_witness_sampled(w3_full, w3_witness_decomposed(), 50_000,
-                               ReadoutModel(0.96, seed=2))
+readout = ReadoutModel(0.96, seed=2)
+est = estimate_witness_sampled(w3_full, w3_witness_decomposed(), 50_000, readout)
 print(f"\nwith F = 0.96 readout the raw estimate shrinks: {est.value:+.5f} "
-      f"(per-qubit bias factor {est.bias_factor:.2f}, no mitigation applied)")
+      f"(per-qubit bias factor {readout.bias_factor:.2f}, no mitigation applied)")

@@ -204,7 +204,7 @@ def _cmd_witness(args, config: DeviceConfig, report: Report) -> None:
             state, witness, args.shots, readout, keep_records=args.emit_shots
         )
         report.add("estimate", est.value, stderr=est.stderr)
-        report.add("readout_bias_factor", est.bias_factor)
+        report.add("readout_bias_factor", readout.bias_factor)
         if args.emit_shots:
             for idx, record in enumerate(est.records):
                 report.attach_file(f"shots_setting_{idx}.csv", record.to_csv)
@@ -273,14 +273,9 @@ def _cmd_spectroscopy(args, config: DeviceConfig, report: Report) -> None:
 def _cmd_rwa_check(args, config: DeviceConfig, report: Report) -> None:
     from .device import rwa_infidelity
 
-    targets = (
-        [(args.tls, config.tls_params(args.tls))]
-        if args.tls is not None
-        else list(enumerate(config.tls, start=1))
-    )
-    for j, tls in targets:
-        tuned = dataclasses.replace(config, omega10=tls.omega_r)
-        infid = rwa_infidelity(tuned, j, tuned.swap_time(j))
+    for j in [args.tls] if args.tls is not None else range(1, config.num_tls + 1):
+        tls = config.tls_params(j)
+        infid = rwa_infidelity(config, j, config.swap_time(j))
         report.add(f"rwa_infidelity_{tls.id}", infid)
         report.add(f"coupling_ratio_{tls.id}", tls.coupling / tls.omega_r)
 

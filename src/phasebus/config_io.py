@@ -26,7 +26,6 @@ import numpy as np
 from .device import BiasModel, ConfigError, DeviceConfig, TlsParams
 
 GHZ_TO_RAD = 2.0 * np.pi * 1e9
-MHZ_TO_RAD = 2.0 * np.pi * 1e6
 
 
 def tls_from_splitting(tls_id: str | int, omega_r_ghz: float, splitting_mhz: float) -> TlsParams:

@@ -180,21 +180,6 @@ def _conditional_tables(probs: np.ndarray) -> list[np.ndarray]:
     return tables
 
 
-def _sample_true_outcomes(tables: list[np.ndarray], uniforms: np.ndarray) -> np.ndarray:
-    """Sequential conditional sampling from ``_conditional_tables``.
-
-    ``uniforms`` is (shots, m); qubit k is 1 when its uniform falls below
-    its table entry for the shot's prefix.  Returns one outcome pattern per
-    shot, qubit k on bit m-1-k.
-    """
-    prefix = np.zeros(uniforms.shape[0], dtype=np.int64)
-    for k, t in enumerate(tables):
-        o = uniforms[:, k] < t[prefix]
-        prefix <<= 1
-        prefix |= o
-    return prefix
-
-
 def sample_shots(
     state: StateVector,
     qubits,
@@ -209,7 +194,11 @@ def sample_shots(
     measured axis per qubit, as a label or a Bloch direction (theta, phi).
     Per shot, per qubit, one uniform draw decides the true outcome and one
     the report flip, in the order a sequential transfer-and-read of the
-    qubits would consume them.  The uniforms are drawn in blocks of
+    qubits would consume them: qubit k's true outcome is 1 when its first
+    uniform falls below its ``_conditional_tables`` entry for the shot's
+    true-outcome prefix, and its reported bit, bit m-1-k of the shot's
+    pattern, is that outcome flipped when its second uniform falls below
+    1 - F.  The uniforms are drawn in blocks of
     ``_SHOT_BLOCK`` shots into one buffer; the generator fills consecutive
     blocks from the same stream a single (shots, m, 2) draw would use, so
     the patterns do not depend on the block size, and only one block of
@@ -229,16 +218,19 @@ def sample_shots(
     for q, b in zip(qubits, bases):
         rotated = rotate_for_basis(rotated, q, b)
     tables = _conditional_tables(_measured_probabilities(rotated, qubits))
-    patterns = np.empty(shots, dtype=np.int64)
+    flip = 1.0 - readout.fidelity
+    patterns = np.zeros(shots, dtype=np.int64)
     buf = np.empty((min(_SHOT_BLOCK, shots), m, 2))
     for start in range(0, shots, _SHOT_BLOCK):
         uniforms = rng.random(out=buf[:min(_SHOT_BLOCK, shots - start)])
-        block = _sample_true_outcomes(tables, uniforms[:, :, 0])
-        flips = np.zeros(len(block), dtype=np.int64)
-        for k in range(m):
-            flips <<= 1
-            flips |= uniforms[:, k, 1] < 1.0 - readout.fidelity
-        patterns[start:start + len(block)] = block ^ flips
+        reported = patterns[start:start + len(uniforms)]
+        true = np.zeros(len(uniforms), dtype=np.int64)  # true-outcome prefix
+        for k, t in enumerate(tables):
+            o = uniforms[:, k, 0] < t[true]
+            true <<= 1
+            true |= o
+            reported <<= 1
+            reported |= o ^ (uniforms[:, k, 1] < flip)
     return ShotRecord(tuple(qubits), tuple(bases), patterns)
 
 
@@ -249,7 +241,6 @@ def sample_shots(
 class WitnessEstimate:
     value: float
     stderr: float
-    bias_factor: float
     records: list[ShotRecord] | None = None
 
 
@@ -267,8 +258,9 @@ def estimate_witness_sampled(
     q lives on TLS q+1.  The estimate combines the per-setting shot values
     with the witness offset; the standard error adds the per-setting sample
     variances.  No readout-bias correction is applied: at F < 1 the raw
-    estimate shrinks by (2F - 1) per measured qubit and ``bias_factor``
-    reports that factor.
+    estimate shrinks by (2F - 1) per measured qubit, the ``bias_factor`` of
+    ``readout``.  ``records`` holds each setting's ``ShotRecord`` when
+    ``keep_records`` is set, else None.
     """
     if shots_per_setting < 2:
         raise ValueError("need at least two shots per setting for a standard error")
@@ -296,7 +288,6 @@ def estimate_witness_sampled(
     return WitnessEstimate(
         value=float(total),
         stderr=float(np.sqrt(var_total)),
-        bias_factor=readout.bias_factor,
         records=records if keep_records else None,
     )
 

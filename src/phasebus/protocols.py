@@ -171,7 +171,7 @@ class CorrectionReport:
     """Outcome of the per-TLS phase-correction search after a cluster run.
 
     ``corrections`` lists one label per TLS from {I, Z^{pi/2}, Z^{pi},
-    Z^{3pi/2}} and ``exponents`` the matching k of diag(1, i^k);
+    Z^{3pi/2}}, the correction diag(1, i^k) for k = 0..3;
     ``fidelity_by_init`` records the best corrected fidelity of each bus
     preparation variant; ``sequence_inexact`` is True when no searched
     correction reproduces the target within 1e-6.  ``corrected_state`` is
@@ -181,18 +181,18 @@ class CorrectionReport:
     best_fidelity: float
     best_bus_init: str
     corrections: tuple[str, ...]
-    exponents: tuple[int, ...]
     fidelity_by_init: dict[str, float]
     sequence_inexact: bool
     corrected_state: StateVector
 
 
 def _score(
-    schedule: PulseSchedule, final: StateVector, target: StateVector, profile_tls: int
+    schedule: PulseSchedule, final: StateVector, target: StateVector
 ) -> ProtocolReport:
     """Score a run against bus |0> x ``target`` on TLS 1..n x spectators |g>.
 
-    The profile lists |<0, g..e_j..g|final>| for TLS j = 1..profile_tls.
+    The profile lists |<0, g..e_j..g|final>| for the TLSs the target
+    covers, j = 1..n with n = ``target.num_qubits``.
     """
     rho_bus = partial_trace(final, [0])
     ground_pop = float(np.real(rho_bus.matrix[0, 0]))
@@ -205,7 +205,7 @@ def _score(
         ),
         bus_ground_population=ground_pop,
         amplitude_profile=np.array(
-            [abs(final.amplitudes[1 << j]) for j in range(1, profile_tls + 1)]
+            [abs(final.amplitudes[1 << j]) for j in range(1, target.num_qubits + 1)]
         ),
         schedule=schedule,
     )
@@ -263,7 +263,7 @@ def run_w_protocol(
 ) -> ProtocolReport:
     """Generate the N-TLS W state and score it against the ideal target."""
     schedule = w_schedule(config, n, mode)
-    return _score(schedule, execute_schedule(schedule, config), w_state(n), n)
+    return _score(schedule, execute_schedule(schedule, config), w_state(n))
 
 
 def bell_schedule(config: DeviceConfig, j: int, k: int) -> PulseSchedule:
@@ -290,7 +290,7 @@ def bell_state(num_tls: int, j: int, k: int) -> StateVector:
 def run_bell(config: DeviceConfig, j: int, k: int) -> ProtocolReport:
     schedule = bell_schedule(config, j, k)
     final = execute_schedule(schedule, config)
-    return _score(schedule, final, bell_state(config.num_tls, j, k), config.num_tls)
+    return _score(schedule, final, bell_state(config.num_tls, j, k))
 
 
 def _tls_slice(n: int) -> slice:
@@ -427,7 +427,7 @@ def _correction_search(final: StateVector, target_tls: StateVector, n: int):
                 best, best_flat = value, at + i
 
     descend(t, 0, 0)
-    idx = tuple(reversed(np.unravel_index(best_flat, (4,) * n)))
+    idx = tuple(int(k) for k in reversed(np.unravel_index(best_flat, (4,) * n)))
     labels = tuple(_CORRECTION_LABELS[k] for k in idx)
     return best, labels, idx
 
@@ -462,14 +462,12 @@ def run_cluster_protocol(
 
     best_variant = max(results, key=lambda v: results[v][2])
     _, best_final, best, labels, idx = results[best_variant]
-    exponents = tuple(int(k) for k in idx)
     correction = CorrectionReport(
         best_fidelity=best,
         best_bus_init=best_variant,
         corrections=labels,
-        exponents=exponents,
         fidelity_by_init={v: results[v][2] for v in results},
         sequence_inexact=best < 1.0 - 1e-6,
-        corrected_state=apply_phase_corrections(best_final, exponents),
+        corrected_state=apply_phase_corrections(best_final, idx),
     )
-    return _score(*results[bus_init][:2], target, config.num_tls), correction
+    return _score(*results[bus_init][:2], target), correction

@@ -217,9 +217,16 @@ class TestRwaInfidelity:
         inf_hi = rwa_infidelity(hi, 1, hi.swap_time(1))
         assert 0 < inf_lo < inf_hi
 
-    def test_off_resonance_rejected(self, config3):
-        with pytest.raises(ProtocolError, match="resonance"):
-            rwa_infidelity(config3, 1, config3.swap_time(1))
+    @pytest.mark.parametrize("fraction", [1.0, 0.37])
+    def test_bus_tuned_to_checked_tls(self, fraction):
+        # the bus sits at 6 GHz, off every TLS; the check tunes it onto TLS j
+        # itself, with the same bits as a config the caller tuned
+        config = parse_config(example_config_dict(4, 7))
+        assert all(tls.omega_r != config.omega10 for tls in config.tls)
+        for j in range(1, 5):
+            tuned = dataclasses.replace(config, omega10=config.tls_params(j).omega_r)
+            t = fraction * config.swap_time(j)
+            assert rwa_infidelity(config, j, t).hex() == rwa_infidelity(tuned, j, t).hex()
 
 
 def dense_rwa_infidelity(config, j, t):

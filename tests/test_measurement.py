@@ -428,8 +428,9 @@ class TestWitnessEstimation:
         # no mitigation: the raw estimate shrinks toward zero
         wd = w3_witness_decomposed()
         state = run_w_protocol(config3, 3).final_state
-        est = estimate_witness_sampled(state, wd, 40000, ReadoutModel(0.96, 41))
-        assert est.bias_factor == pytest.approx(0.92)
+        readout = ReadoutModel(0.96, 41)
+        est = estimate_witness_sampled(state, wd, 40000, readout)
+        assert readout.bias_factor == pytest.approx(0.92)
         assert est.value > -1 / 3  # shrunk magnitude
 
 

@@ -307,7 +307,8 @@ class TestClusterProtocol:
         cfg = simple_config(5)
         rep, corr = run_cluster_protocol(cfg, 5, BUS_INIT_PLUS)
         final = execute_schedule(cluster_sequence(cfg, 5, corr.best_bus_init), cfg)
-        corrected = apply_phase_corrections(final, corr.exponents)
+        labels = ["I", "Z^{pi/2}", "Z^{pi}", "Z^{3pi/2}"]  # diag(1, i^k), k = 0..3
+        corrected = apply_phase_corrections(final, [labels.index(c) for c in corr.corrections])
         assert np.array_equal(corr.corrected_state.amplitudes, corrected.amplitudes)
         target = cluster_state(5)
         full = np.zeros(2**6, dtype=complex)
@@ -570,7 +571,7 @@ class TestReportsMatchAssembly:
     def test_cluster(self, demo, n, bus_init):
         report, _ = run_cluster_protocol(demo, n, bus_init)
         schedule = cluster_sequence(demo, n, bus_init)
-        self.assert_report(report, demo, schedule, cluster_state(n), demo.num_tls)
+        self.assert_report(report, demo, schedule, cluster_state(n), n)
 
 
 class TestScheduleBoundary:

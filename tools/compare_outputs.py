@@ -50,6 +50,8 @@ commands are:
 - the exact per-term cluster sum at its smallest sizes, where a stabilizer
   group has a single site: exact ``witness`` c2 and c3; and the density
   matrix assembled on the last TLS pair: exact ``tomo --target bell:9:10``
+- a full-device ``rwa-check`` (no ``--tls``), which tunes the bus onto
+  each of the ten TLSs in turn
 - every demo script
 
 stderr is not compared: warnings carry source paths and line numbers.
@@ -114,6 +116,7 @@ EXTRA = {
     "witness-c2-exact": ["witness", "--target", "c2"],
     "witness-c3-exact": ["witness", "--target", "c3"],
     "tomo-9-10-exact": ["tomo", "--target", "bell:9:10"],
+    "rwa-check-all": ["rwa-check"],
 }
 # the demo config with its TLS list reversed, written into each run directory
 REVERSED_CONFIG = os.path.join("demos", "device_config_reversed.json")
