@@ -6,8 +6,6 @@ walks the adjacent-branch gaps, refines each minimum with a parabola on the
 squared gap, and reports position, size and frequency of every crossing.
 """
 
-import warnings
-
 from phasebus import (
     default_bias_grid,
     extract_tls_parameters,
@@ -17,10 +15,8 @@ from phasebus import (
 
 config = load_config("demos/device_config.json")
 grid = default_bias_grid(config, points=2000)
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")  # edge minima at the scan ends
-    scan = synth_spectroscopy(config, grid)
-    crossings = extract_tls_parameters(scan)
+scan = synth_spectroscopy(config, grid)
+crossings = extract_tls_parameters(scan)
 
 print(f"scan: {len(grid)} bias points, {scan.num_branches} branches\n")
 print("extracted avoided crossings vs configured defects:")

@@ -166,6 +166,7 @@ def _cmd_cluster(args, config: DeviceConfig, report: Report) -> None:
 
 
 def _witness_preparation(args, config: DeviceConfig):
+    """(witness, state); the protocol checks n before the witness is built."""
     from .protocols import run_cluster_protocol, run_w_protocol
     from .witnesses import cluster_witness, w3_witness_decomposed, w_witness
 
@@ -173,13 +174,10 @@ def _witness_preparation(args, config: DeviceConfig):
     if args.decomposed and (kind, n) != ("w", 3):
         raise ProtocolError("--decomposed applies to the three-qubit W witness")
     if kind == "w":
-        witness = w3_witness_decomposed() if args.decomposed else w_witness(n)
         state = run_w_protocol(config, n).final_state
-    else:
-        witness = cluster_witness(n)
-        _, corr = run_cluster_protocol(config, n)
-        state = corr.corrected_state
-    return witness, n, state
+        return (w3_witness_decomposed() if args.decomposed else w_witness(n)), state
+    state = run_cluster_protocol(config, n)[1].corrected_state
+    return cluster_witness(n), state
 
 
 def _cmd_witness(args, config: DeviceConfig, report: Report) -> None:
@@ -191,8 +189,8 @@ def _cmd_witness(args, config: DeviceConfig, report: Report) -> None:
         raise UsageError("--shots must be 0 (exact) or at least 2 for a standard error")
     if args.emit_shots and args.shots == 0:
         raise UsageError("--emit-shots needs --shots of at least 2")
-    witness, n, state = _witness_preparation(args, config)
-    tls_state = tls_register_state(state, n)
+    witness, state = _witness_preparation(args, config)
+    tls_state = tls_register_state(state, witness.qubit_count)
     report.add("exact_value", witness_value_exact(tls_state, witness))
     settings = group_settings(witness)
     report.add("settings", len(settings), units="count")

@@ -29,6 +29,7 @@ import numpy as np
 
 from .device import ProtocolError
 from .paulis import PauliString, pauli_sum_matrix
+from .protocols import tls_register_state
 from .states import (
     DensityMatrix,
     StateVector,
@@ -253,9 +254,10 @@ def estimate_witness_sampled(
 ) -> WitnessEstimate:
     """Estimate a witness from shots, one local setting at a time.
 
-    ``state`` is the prepared register state (bus + TLSs), its bus in |0>
-    to 1e-9; every setting measures its own copies of it, and witness qubit
-    q lives on TLS q+1.  The estimate combines the per-setting shot values
+    ``state`` is the prepared register state (bus + TLSs), which
+    ``tls_register_state`` first checks for a bus in |0> and TLSs past n
+    in |g>: every setting reads TLS 1..n of its own copies of it, witness
+    qubit q on TLS q+1.  The estimate combines the per-setting shot values
     with the witness offset; the standard error adds the per-setting sample
     variances.  No readout-bias correction is applied: at F < 1 the raw
     estimate shrinks by (2F - 1) per measured qubit, the ``bias_factor`` of
@@ -265,10 +267,7 @@ def estimate_witness_sampled(
     if shots_per_setting < 2:
         raise ValueError("need at least two shots per setting for a standard error")
     n = witness.qubit_count
-    if state.num_qubits < n + 1:
-        raise ValueError("prepared state smaller than the witness register")
-    if _measured_probabilities(state, [0])[1] > 1e-9:  # tls_register_state's tolerance
-        raise ProtocolError("sampled witness estimation needs the bus in |0>")
+    tls_register_state(state, n)
     settings = group_settings(witness)
     qubits = list(range(1, n + 1))
 
@@ -339,7 +338,7 @@ def tomography_two_qubit(
     settings, and <II> = 1 by construction.  ``shots_per_setting=None``
     uses exact expectations (scaled by the readout bias factor), the
     infinite-shot limit.  Physicality (smallest eigenvalue >= -1e-6) is
-    reported, never enforced.
+    reported, never enforced.  ``tls_register_state`` requires the bus in |0>.
     """
     if j == k:
         raise ValueError("tomography needs two distinct TLSs")
@@ -347,6 +346,7 @@ def tomography_two_qubit(
     for q in (j, k):
         if not 1 <= q <= num_tls:
             raise ProtocolError(f"TLS index {q} out of range 1..{num_tls}")
+    tls_register_state(state, num_tls)
     exact = shots_per_setting is None
     bias = readout.bias_factor
 

@@ -310,8 +310,9 @@ def _embed_tls_state(tls_state: StateVector, num_tls: int) -> StateVector:
 def tls_register_state(state: StateVector, n: int) -> StateVector:
     """Pure state of TLS 1..n, given the bus in |0> and quiet spectators.
 
-    Raises when n is not in 1..num_qubits - 1 or the register carries
-    weight outside that subspace.
+    The one TLS read rule: the exact witness value, the sampled estimate
+    and tomography (n = all TLSs: the bus only) call it.  Raises when n is
+    not in 1..num_qubits - 1 or the slice's norm is below 1 - 1e-9.
     """
     if not 1 <= n < state.num_qubits:
         raise ProtocolError(f"TLS count {n} outside 1..{state.num_qubits - 1}")
@@ -447,15 +448,16 @@ def run_cluster_protocol(
 ) -> tuple[ProtocolReport, CorrectionReport]:
     """Execute the chain schedule and search phase corrections.
 
-    The report scores the requested bus preparation; the correction search
-    always covers both preparations and every per-TLS Z^{k pi/2} choice,
-    recording which combination best matches the cluster target and the
-    state it produces.
+    Both schedules are built, checking n against the device, before the
+    2^n target.  The report scores the requested bus preparation; the
+    correction search always covers both preparations and every per-TLS
+    Z^{k pi/2} choice, recording which combination best matches the
+    cluster target and the state it produces.
     """
+    schedules = {v: cluster_sequence(config, n, v) for v in (BUS_INIT_GROUND, BUS_INIT_PLUS)}
     target = cluster_state(n)
     results = {}
-    for variant in (BUS_INIT_GROUND, BUS_INIT_PLUS):
-        schedule = cluster_sequence(config, n, variant)
+    for variant, schedule in schedules.items():
         final = execute_schedule(schedule, config)
         best, labels, idx = _correction_search(final, target, n)
         results[variant] = (schedule, final, best, labels, idx)

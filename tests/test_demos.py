@@ -1,4 +1,5 @@
-"""Smoke test: every narrative demo runs to completion from the repo root."""
+"""Smoke test: every narrative demo runs to completion from the repo root
+and writes nothing to stderr, so no warning fires."""
 
 import os
 import subprocess
@@ -19,3 +20,4 @@ def test_demo_runs(demo):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

@@ -31,7 +31,13 @@ from phasebus.protocols import (
     run_cluster_protocol,
     run_w_protocol,
 )
-from phasebus.states import StateVector, _measured_probabilities, basis_state, expectation
+from phasebus.states import (
+    StateVector,
+    _measured_probabilities,
+    apply_unitary,
+    basis_state,
+    expectation,
+)
 from phasebus.witnesses import (
     cluster_witness,
     group_settings,
@@ -421,8 +427,15 @@ class TestWitnessEstimation:
 
     def test_state_smaller_than_witness_rejected(self, config3):
         state = run_w_protocol(config3, 3).final_state  # bus + 3 TLSs
-        with pytest.raises(ValueError, match="smaller"):
+        with pytest.raises(ProtocolError, match="TLS count 4 outside 1..3"):
             estimate_witness_sampled(state, w_witness(4), 10, ReadoutModel(1.0, 0))
+
+    def test_excited_spectator_rejected(self):
+        # the settings read TLS 1..3 only, so an excited TLS 4 would go unseen
+        state = run_w_protocol(simple_config(4), 3).final_state
+        state = apply_unitary(state, SIGMA["X"], [4])
+        with pytest.raises(ProtocolError, match="not confined"):
+            estimate_witness_sampled(state, w_witness(3), 10, ReadoutModel(1.0, 0))
 
     def test_biased_at_finite_fidelity(self, config3):
         # no mitigation: the raw estimate shrinks toward zero
@@ -492,6 +505,14 @@ class TestTomography:
         state = run_bell(config3, 1, 2).final_state  # bus + 3 TLSs
         with pytest.raises(ProtocolError, match="out of range 1..3"):
             tomography_two_qubit(state, 1, 4, None, ReadoutModel(1.0, 0))
+
+    @pytest.mark.parametrize("shots", [None, 2000])
+    def test_excited_bus_rejected(self, config3, shots):
+        # every TLS read swaps through the bus, so a bus in |1> corrupts it
+        state = run_bell(config3, 1, 2).final_state
+        state = apply_unitary(state, SIGMA["X"], [0])
+        with pytest.raises(ProtocolError, match="bus"):
+            tomography_two_qubit(state, 1, 2, shots, ReadoutModel(1.0, 0))
 
     def test_reversed_pair(self, config3):
         state = run_bell(config3, 1, 2).final_state

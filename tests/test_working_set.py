@@ -8,6 +8,10 @@ Each bound sits between the measured peak of the bounded working set
 (16.1, 19.3, 24.8 and 5.0 MiB), so building the 4^n overlap tensor,
 drawing every uniform at once, unpacking every shot's outcomes before
 writing them or collecting the scan rows as Python lists fails here.
+
+A cluster chain longer than the device is refused before its 2^n target
+or witness is built: at n = 22 that target and its sign arithmetic traced
+164 MiB before the refusal.
 """
 
 import tracemalloc
@@ -17,6 +21,7 @@ import pytest
 from conftest import DEMO_CONFIG
 from phasebus.cli import main
 from phasebus.config_io import load_config
+from phasebus.device import ProtocolError
 from phasebus.measurement import ReadoutModel, estimate_witness_sampled
 from phasebus.protocols import run_cluster_protocol
 from phasebus.witnesses import cluster_witness
@@ -65,3 +70,20 @@ def test_spectroscopy_report_at_2000_points(tmp_path):
     codes = []
     assert traced_peak(lambda: codes.append(main(argv))) < 3.5 * MIB
     assert codes == [0]
+
+
+def test_cluster_chain_longer_than_device(demo):
+    def run():
+        with pytest.raises(ProtocolError, match="n=22 outside"):
+            run_cluster_protocol(demo, 22)
+
+    assert traced_peak(run) < 1 * MIB
+
+
+def test_cluster_witness_longer_than_device(tmp_path):
+    argv = ["witness", "--target", "c22", "--config", DEMO_CONFIG,
+            "--out", str(tmp_path / "out")]
+    codes = []
+    assert traced_peak(lambda: codes.append(main(argv))) < 1 * MIB
+    assert codes == [4]
+    assert not (tmp_path / "out").exists()

@@ -52,6 +52,9 @@ commands are:
   matrix assembled on the last TLS pair: exact ``tomo --target bell:9:10``
 - a full-device ``rwa-check`` (no ``--tls``), which tunes the bus onto
   each of the ten TLSs in turn
+- registers longer than the ten-TLS device, which must exit 4 before
+  anything 2^n-sized is built and write no output: ``cluster --n 11``,
+  ``witness --target c11`` and ``witness --target w11``
 - every demo script
 
 stderr is not compared: warnings carry source paths and line numbers.
@@ -117,6 +120,9 @@ EXTRA = {
     "witness-c3-exact": ["witness", "--target", "c3"],
     "tomo-9-10-exact": ["tomo", "--target", "bell:9:10"],
     "rwa-check-all": ["rwa-check"],
+    "cluster-11": ["cluster", "--n", "11"],
+    "witness-c11": ["witness", "--target", "c11"],
+    "witness-w11": ["witness", "--target", "w11"],
 }
 # the demo config with its TLS list reversed, written into each run directory
 REVERSED_CONFIG = os.path.join("demos", "device_config_reversed.json")
