@@ -38,7 +38,6 @@ from .states import (
     expectation,
     join_qubit_rows,
     qubit_rows,
-    state_dm_fidelity,
 )
 from .witnesses import MeasurementSetting, WitnessOperator, bloch_direction, group_settings
 
@@ -339,9 +338,12 @@ def tomography_two_qubit(
     uses exact expectations (scaled by the readout bias factor), the
     infinite-shot limit.  Physicality (smallest eigenvalue >= -1e-6) is
     reported, never enforced.  ``tls_register_state`` requires the bus in |0>.
+    A ``target`` must be a two-qubit state (bit 0 = TLS j), scored <t|rho|t>.
     """
     if j == k:
         raise ValueError("tomography needs two distinct TLSs")
+    if target is not None and target.num_qubits != 2:
+        raise ValueError(f"tomography target has {target.num_qubits} qubits, not 2")
     num_tls = state.num_qubits - 1
     for q in (j, k):
         if not 1 <= q <= num_tls:
@@ -382,7 +384,8 @@ def tomography_two_qubit(
              for a, b in product(range(4), repeat=2)]
     rho = pauli_sum_matrix(terms, 2) / 4
     dm = DensityMatrix(rho)
-    fid = state_dm_fidelity(target, dm) if target is not None else None
+    fid = (None if target is None
+           else float(np.real(np.vdot(target.amplitudes, dm.matrix @ target.amplitudes))))
     physical = bool(np.linalg.eigvalsh(rho).min() >= -1e-6)
     return TomographyResult(
         rho=dm,

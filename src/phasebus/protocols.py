@@ -448,13 +448,16 @@ def run_cluster_protocol(
 ) -> tuple[ProtocolReport, CorrectionReport]:
     """Execute the chain schedule and search phase corrections.
 
-    Both schedules are built, checking n against the device, before the
-    2^n target.  The report scores the requested bus preparation; the
-    correction search always covers both preparations and every per-TLS
-    Z^{k pi/2} choice, recording which combination best matches the
-    cluster target and the state it produces.
+    The requested schedule, whose builder checks n and ``bus_init``, comes
+    first, and both come before the 2^n target.  The report scores the
+    requested bus preparation; the correction search always covers both
+    preparations (a tie goes to ground) and every per-TLS Z^{k pi/2} choice,
+    recording which combination best matches the cluster target and the
+    state it produces.
     """
-    schedules = {v: cluster_sequence(config, n, v) for v in (BUS_INIT_GROUND, BUS_INIT_PLUS)}
+    requested = cluster_sequence(config, n, bus_init)
+    schedules = {v: requested if v == bus_init else cluster_sequence(config, n, v)
+                 for v in (BUS_INIT_GROUND, BUS_INIT_PLUS)}
     target = cluster_state(n)
     results = {}
     for variant, schedule in schedules.items():

@@ -4,10 +4,11 @@ Conventions used throughout the package:
 
 * Qubit 0 is the phase-qubit bus; qubits 1..N are the TLSs.
 * Basis index bit k encodes the state of qubit k (little-endian), so
-  ``amplitudes[5]`` of a 3-qubit register is ``|1,g,e>``.  As an n-axis
-  tensor, qubit q is axis n-1-q; ``qubit_rows`` and ``join_qubit_rows``
-  turn a state into rows over chosen qubits and back, so no other module
-  does axis arithmetic.
+  ``amplitudes[5]`` of a 3-qubit register is ``|1,g,e>``.  One layout rule
+  reaches qubits: split the amplitudes at each listed qubit, each run of
+  unlisted qubits one axis, highest first, and move the listed axes to the
+  front.  ``qubit_rows``, ``join_qubit_rows`` and ``_measured_probabilities``
+  use it, so no other module does axis arithmetic.
 * ``Z|0> = +|0>`` and ``Z|g> = +|g>``: the 0/g level is the ground state.
 * Global phase is physical: operations never renormalize or strip phases.
   ``fidelity`` is the phase-insensitive comparator.
@@ -16,6 +17,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -59,10 +62,6 @@ class DensityMatrix:
         if not abs(m.trace() - 1.0) <= 1e-9:
             raise ValueError(f"density matrix trace {m.trace():.3g} != 1")
         self.matrix = m
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
@@ -114,9 +113,19 @@ def _check_targets(n: int, targets) -> list[int]:
     return targets
 
 
-def _qubit_axes(n: int, qubits) -> list[int]:
-    # axis n-1-q holds qubit q; front axes ordered most-significant-first
-    return [n - 1 - q for q in reversed(qubits)]
+@lru_cache(maxsize=1024)  # bounded: any order of any qubit subset is a key
+def _layout(n: int, qubits: tuple) -> tuple:
+    """The split of an n-qubit register at ``qubits``: (split shape, the
+    transpose that brings the listed axes to the front in row-bit order,
+    the transposed shape, the inverse transpose)."""
+    held, shape = [], []  # per axis: its listed qubit (-1 for a run), its size
+    for q, run in groupby(range(n - 1, -1, -1), lambda q: q if q in qubits else -1):
+        held.append(q)
+        shape.append(2 ** len(list(run)))
+    order = [held.index(q) for q in reversed(qubits)]
+    order += [a for a, q in enumerate(held) if q < 0]
+    inverse = tuple(order.index(a) for a in range(len(order)))
+    return tuple(shape), tuple(order), tuple(shape[a] for a in order), inverse
 
 
 def qubit_rows(state: StateVector, qubits) -> np.ndarray:
@@ -125,25 +134,14 @@ def qubit_rows(state: StateVector, qubits) -> np.ndarray:
     Row bit p is qubit ``qubits[p]``; column bit i is the i-th smallest of
     the other qubits.  ``join_qubit_rows`` is the inverse.
     """
-    n = state.num_qubits
-    if len(qubits) == 1:
-        # the qubits above and below the one listed, each merged into one axis
-        hi, lo = 2 ** (n - 1 - qubits[0]), 2 ** qubits[0]
-        return state.amplitudes.reshape(hi, 2, lo).transpose(1, 0, 2).reshape(2, -1)
-    psi = state.amplitudes.reshape((2,) * n)
-    psi = np.moveaxis(psi, _qubit_axes(n, qubits), range(len(qubits)))
-    return psi.reshape(2 ** len(qubits), -1)
+    shape, order, _, _ = _layout(state.num_qubits, tuple(qubits))
+    return state.amplitudes.reshape(shape).transpose(order).reshape(2 ** len(qubits), -1)
 
 
 def join_qubit_rows(rows: np.ndarray, qubits) -> StateVector:
     """The state whose ``qubit_rows(state, qubits)`` is ``rows``."""
-    n = rows.size.bit_length() - 1
-    if len(qubits) == 1:
-        hi, lo = 2 ** (n - 1 - qubits[0]), 2 ** qubits[0]
-        psi = rows.reshape(2, hi, lo).transpose(1, 0, 2)
-    else:
-        psi = np.moveaxis(rows.reshape((2,) * n), range(len(qubits)), _qubit_axes(n, qubits))
-    return StateVector(np.ascontiguousarray(psi).reshape(-1))
+    _, _, moved, inverse = _layout(rows.size.bit_length() - 1, tuple(qubits))
+    return StateVector(np.ascontiguousarray(rows.reshape(moved).transpose(inverse)).reshape(-1))
 
 
 def apply_unitary(state: StateVector, gate: np.ndarray, targets) -> StateVector:
@@ -207,14 +205,6 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
-def state_dm_fidelity(state: StateVector, rho: DensityMatrix) -> float:
-    """<psi|rho|psi> for a pure target state."""
-    if rho.dim != state.amplitudes.size:
-        raise ValueError("state dimensions differ")
-    val = np.vdot(state.amplitudes, rho.matrix @ state.amplitudes)
-    return float(np.real(val))
-
-
 def partial_trace(state: StateVector, keep) -> DensityMatrix:
     """Reduced density matrix over ``keep`` (sorted ascending in the output).
 
@@ -230,13 +220,12 @@ def partial_trace(state: StateVector, keep) -> DensityMatrix:
 
 def _measured_probabilities(state: StateVector, qubits) -> np.ndarray:
     """Joint Born distribution over ``qubits`` (ascending), axis 0 = first."""
-    n = state.num_qubits
-    probs = np.abs(state.amplitudes.reshape((2,) * n)) ** 2
-    keep_axes = _qubit_axes(n, qubits)
-    drop = tuple(a for a in range(n) if a not in keep_axes)
-    p = probs.sum(axis=drop) if drop else probs
-    # surviving axes run high-qubit-first; flip into measurement order
-    return p.transpose(tuple(reversed(range(p.ndim))))
+    shape, order, _, _ = _layout(state.num_qubits, tuple(qubits))
+    probs = np.abs(state.amplitudes.reshape(shape)) ** 2
+    runs = order[len(qubits):]
+    p = probs.sum(axis=runs) if runs else probs
+    # the listed axes run high-qubit-first; flip into measurement order
+    return p.T
 
 
 def expectation(state: StateVector, pauli) -> float:

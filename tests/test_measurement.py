@@ -37,6 +37,7 @@ from phasebus.states import (
     apply_unitary,
     basis_state,
     expectation,
+    w_state,
 )
 from phasebus.witnesses import (
     cluster_witness,
@@ -520,6 +521,21 @@ class TestTomography:
             state, 2, 1, 1500, ReadoutModel(1.0, 4), target=self._bell_target()
         )
         assert res.fidelity_vs_target > 0.9
+
+    @pytest.mark.parametrize("target_qubits", [1, 3])
+    def test_target_outside_the_pair_rejected_before_sampling(
+        self, config3, target_qubits, monkeypatch
+    ):
+        import phasebus.measurement as measurement
+
+        calls = []
+        monkeypatch.setattr(measurement, "sample_shots", lambda *a: calls.append(a))
+        state = run_bell(config3, 1, 2).final_state
+        with pytest.raises(ValueError, match="not 2"):
+            tomography_two_qubit(
+                state, 1, 2, 100_000, ReadoutModel(0.96, 1), target=w_state(target_qubits)
+            )
+        assert calls == []
 
 
 def two_sum_tables(probs):

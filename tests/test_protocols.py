@@ -323,6 +323,24 @@ class TestClusterProtocol:
         # the report scores the requested variant, the search still finds plus
         assert corr.best_bus_init == BUS_INIT_PLUS
 
+    def test_unknown_bus_init_rejected_before_any_execution(self, monkeypatch):
+        import phasebus.protocols as protocols
+
+        calls = []
+        monkeypatch.setattr(protocols, "execute_schedule", lambda *a: calls.append(a))
+        with pytest.raises(ProtocolError, match="unknown bus_init"):
+            run_cluster_protocol(simple_config(3), 3, "Plus")
+        assert calls == []
+
+    @pytest.mark.parametrize("bus_init", [BUS_INIT_GROUND, BUS_INIT_PLUS])
+    def test_tied_preparations_go_to_ground(self, config3, bus_init, monkeypatch):
+        import phasebus.protocols as protocols
+
+        monkeypatch.setattr(protocols, "_correction_search", lambda *a: (1.0, ("I", "I"), (0, 0)))
+        _, corr = run_cluster_protocol(config3, 2, bus_init)
+        assert corr.best_bus_init == BUS_INIT_GROUND
+        assert list(corr.fidelity_by_init) == [BUS_INIT_GROUND, BUS_INIT_PLUS]
+
 
 def dense_correction_search(final, target_tls, n):
     """Oracle for ``_correction_search``: expand every TLS axis, then take

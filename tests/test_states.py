@@ -7,6 +7,7 @@ from phasebus.paulis import SIGMA, PauliString
 from phasebus.states import (
     DensityMatrix,
     StateVector,
+    _measured_probabilities,
     apply_unitary,
     basis_state,
     evolve,
@@ -267,34 +268,65 @@ class TestPartialTrace:
             partial_trace(basis_state("00"), [])
 
 
-def moveaxis_rows(state, q):
-    """The n-axis ``np.moveaxis`` layout of ``qubit_rows(state, [q])``."""
+def moveaxis_rows(state, qubits):
+    """Oracle for ``qubit_rows``: the n-axis ``np.moveaxis`` layout, qubit q
+    on axis n-1-q, listed axes moved to the front most-significant-first."""
     n = state.num_qubits
-    return np.moveaxis(state.amplitudes.reshape((2,) * n), n - 1 - q, 0).reshape(2, -1)
+    axes = [n - 1 - q for q in reversed(qubits)]
+    psi = np.moveaxis(state.amplitudes.reshape((2,) * n), axes, range(len(qubits)))
+    return psi.reshape(2 ** len(qubits), -1)
 
 
-def moveaxis_join(rows, q):
+def moveaxis_join(rows, qubits):
+    """Oracle for ``join_qubit_rows``: the inverse ``np.moveaxis``."""
     n = rows.size.bit_length() - 1
-    psi = np.moveaxis(rows.reshape((2,) * n), 0, n - 1 - q)
+    axes = [n - 1 - q for q in reversed(qubits)]
+    psi = np.moveaxis(rows.reshape((2,) * n), range(len(qubits)), axes)
     return np.ascontiguousarray(psi).reshape(-1)
 
 
+def dropped_axis_probabilities(state, qubits):
+    """Oracle for ``_measured_probabilities``: sum the (2,) * n tensor of
+    Born weights over every unlisted qubit's axis, ascending axes."""
+    n = state.num_qubits
+    probs = np.abs(state.amplitudes.reshape((2,) * n)) ** 2
+    keep = [n - 1 - q for q in qubits]
+    drop = tuple(a for a in range(n) if a not in keep)
+    p = probs.sum(axis=drop) if drop else probs
+    return p.transpose(tuple(reversed(range(p.ndim))))
+
+
 class TestOneQubitRows:
-    # one listed qubit takes a three-axis transpose instead of the n-axis
-    # np.moveaxis; every entry and every gate product must stay the same
+    # one split-and-transpose serves every qubit list, the one-qubit lists
+    # of the basis rotations and the bus reset included; every entry, gate
+    # product, trace and Born distribution must equal the n-axis layout
     @pytest.mark.parametrize("n", range(1, 12))
     def test_rows_and_gate_match_moveaxis_bitwise(self, n):
         rng = np.random.default_rng(700 + n)
         s = _random_state(rng, n)
-        for q in range(n):
-            rows = qubit_rows(s, [q])
-            expected = moveaxis_rows(s, q)
+        lists = [[]] + [[q] for q in range(n)] + [list(range(n))[::-1]]
+        lists += [[int(q) for q in rng.permutation(n)[: rng.integers(2, n + 1)]]
+                  for _ in range(8 if n > 1 else 0)]
+        for qubits in lists:
+            rows = qubit_rows(s, qubits)
+            expected = moveaxis_rows(s, qubits)
+            assert rows.shape == expected.shape
             assert np.array_equal(rows, expected)
             assert rows.flags.c_contiguous == expected.flags.c_contiguous
-            assert np.array_equal(join_qubit_rows(rows, [q]).amplitudes, moveaxis_join(rows, q))
-            gate = _haar_unitary(rng, 2)
-            out = apply_unitary(s, gate, [q])
-            assert np.array_equal(out.amplitudes, moveaxis_join(gate @ expected, q))
+            back = join_qubit_rows(rows, qubits).amplitudes
+            assert np.array_equal(back, moveaxis_join(rows, qubits))
+            if len(qubits) <= 6:  # Haar gates beyond 64 rows only cost time
+                gate = _haar_unitary(rng, 2 ** len(qubits))
+                out = apply_unitary(s, gate, qubits)
+                assert np.array_equal(out.amplitudes, moveaxis_join(gate @ expected, qubits))
+            keep = sorted(qubits)
+            if keep:
+                mat = moveaxis_rows(s, keep)
+                assert np.array_equal(partial_trace(s, keep).matrix, mat @ mat.conj().T)
+            probs = _measured_probabilities(s, keep)
+            oracle = dropped_axis_probabilities(s, keep)
+            assert np.shape(probs) == np.shape(oracle)
+            assert np.array_equal(probs, oracle)
 
 
 @st.composite

@@ -50,6 +50,9 @@ commands are:
 - the exact per-term cluster sum at its smallest sizes, where a stabilizer
   group has a single site: exact ``witness`` c2 and c3; and the density
   matrix assembled on the last TLS pair: exact ``tomo --target bell:9:10``
+- a descending pair that spans the register, whose windows run on the bus
+  with TLS 10 and with TLS 1 and whose Born distribution covers TLS 1 and
+  10: ``tomo --target bell:10:1``, exact and with 1000 shots
 - a full-device ``rwa-check`` (no ``--tls``), which tunes the bus onto
   each of the ten TLSs in turn
 - registers longer than the ten-TLS device, which must exit 4 before
@@ -119,6 +122,8 @@ EXTRA = {
     "witness-c2-exact": ["witness", "--target", "c2"],
     "witness-c3-exact": ["witness", "--target", "c3"],
     "tomo-9-10-exact": ["tomo", "--target", "bell:9:10"],
+    "tomo-10-1-exact": ["tomo", "--target", "bell:10:1"],
+    "tomo-10-1-1000": ["tomo", "--target", "bell:10:1", "--shots", "1000"],
     "rwa-check-all": ["rwa-check"],
     "cluster-11": ["cluster", "--n", "11"],
     "witness-c11": ["witness", "--target", "c11"],
