@@ -11,7 +11,9 @@ The file is JSON with two top-level keys::
       ]
     }
 
-``omega_p0_ghz`` is optional (spectroscopy only).  Splittings are the
+``omega_p0_ghz`` is optional (spectroscopy only), and so is
+``readout_fidelity`` (default 1).  Any other key, at any level, is a
+``ConfigError``.  Splittings are the
 observed spectroscopic gaps in MHz; the coupling used by the gate calculus
 is S = pi * splitting (rad/s), making the full swap time tau = 1 / (2 *
 splitting).
@@ -48,7 +50,31 @@ def _number(value) -> float:
     return float(value)
 
 
+_CONFIG_KEYS = {"device", "tls"}
+_DEVICE_KEYS = {"omega10_ghz", "readout_fidelity", "omega_p0_ghz"}
+_TLS_KEYS = {"id", "omega_r_ghz", "splitting_mhz"}
+
+
+def _reject_unknown_keys(data) -> None:
+    """Refuse any key outside the known ones, at every level: a misspelled
+    optional key would otherwise be ignored and run at its default.
+    Blocks that are not objects are left to the structure checks."""
+    levels = [(data, _CONFIG_KEYS, "config")]
+    if isinstance(data, dict):
+        levels.append((data.get("device"), _DEVICE_KEYS, "device block"))
+        if isinstance(data.get("tls"), list):
+            levels += [(row, _TLS_KEYS, "TLS entry") for row in data["tls"]]
+    for block, known, where in levels:
+        unknown = sorted(set(block) - known) if isinstance(block, dict) else []
+        if unknown:
+            raise ConfigError(
+                f"unknown key {', '.join(map(repr, unknown))} in {where}; "
+                f"expected {', '.join(sorted(known))}"
+            )
+
+
 def parse_config(data: dict) -> DeviceConfig:
+    _reject_unknown_keys(data)
     try:
         device = data["device"]
         tls_rows = data["tls"]

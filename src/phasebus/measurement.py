@@ -13,9 +13,16 @@ conditional outcome chain the sequence produces directly from the rotated
 state's Born distribution, with one uniform draw per shot and read qubit
 for the true outcome and one for the report flip.  The uniforms are drawn
 in fixed blocks of shots, so beyond one outcome pattern per shot the
-working set does not grow with the shot count.  Witness estimation and
-tomography measure copies of one prepared register state, setting by
-setting.
+working set does not grow with the shot count.  A pattern takes the
+narrowest unsigned type that holds its m bits, ``np.min_scalar_type(2**m
+- 1)``: one byte for m <= 8, two for m = 9 or 10.
+
+Witness estimation and tomography measure copies of one prepared register
+state, setting by setting, and release each setting's shots before the
+next is drawn.  A sampled witness setting holds 9 to 10 bytes per shot
+(its pattern and one float64 shot value, the variance taken in place),
+tomography about 1 (its two-bit patterns, counted block by block);
+``keep_records`` adds each retained setting's 1 to 2 bytes per shot.
 """
 
 from __future__ import annotations
@@ -118,10 +125,12 @@ class ShotRecord:
     """Reported outcomes of the read qubits, one outcome pattern per shot.
 
     ``patterns[s]`` has bit m-1-k set when read qubit k (of m) reported -1
-    in shot s.  In CSV form each row is one shot's +-1 outcomes and each
-    column header is ``q{qubit}:{basis}``, the basis written as its label
-    or, for a Bloch direction, as ``{theta}/{phi}`` in radians with
-    round-trip float text.
+    in shot s.  Its dtype is the narrowest unsigned type that holds m bits,
+    ``np.min_scalar_type(2**m - 1)``: uint8 for m <= 8 (one byte per shot),
+    uint16 for m = 9 or 10 (two).  In CSV form each row is one shot's +-1
+    outcomes and each column header is ``q{qubit}:{basis}``, the basis
+    written as its label or, for a Bloch direction, as ``{theta}/{phi}`` in
+    radians with round-trip float text.
     """
 
     qubits: tuple[int, ...]
@@ -202,7 +211,8 @@ def sample_shots(
     ``_SHOT_BLOCK`` shots into one buffer; the generator fills consecutive
     blocks from the same stream a single (shots, m, 2) draw would use, so
     the patterns do not depend on the block size, and only one block of
-    uniforms is held at a time.
+    uniforms is held at a time.  Each block's outcome arithmetic runs in
+    int64 and is then stored into the narrow ``ShotRecord`` patterns.
     """
     qubits = list(qubits)
     bases = list(bases)
@@ -219,18 +229,19 @@ def sample_shots(
         rotated = rotate_for_basis(rotated, q, b)
     tables = _conditional_tables(_measured_probabilities(rotated, qubits))
     flip = 1.0 - readout.fidelity
-    patterns = np.zeros(shots, dtype=np.int64)
+    patterns = np.empty(shots, dtype=np.min_scalar_type(2**m - 1))
     buf = np.empty((min(_SHOT_BLOCK, shots), m, 2))
     for start in range(0, shots, _SHOT_BLOCK):
         uniforms = rng.random(out=buf[:min(_SHOT_BLOCK, shots - start)])
-        reported = patterns[start:start + len(uniforms)]
         true = np.zeros(len(uniforms), dtype=np.int64)  # true-outcome prefix
+        reported = np.zeros(len(uniforms), dtype=np.int64)
         for k, t in enumerate(tables):
             o = uniforms[:, k, 0] < t[true]
             true <<= 1
             true |= o
             reported <<= 1
             reported |= o ^ (uniforms[:, k, 1] < flip)
+        patterns[start:start + len(uniforms)] = reported
     return ShotRecord(tuple(qubits), tuple(bases), patterns)
 
 
@@ -258,9 +269,10 @@ def estimate_witness_sampled(
     in |g>: every setting reads TLS 1..n of its own copies of it, witness
     qubit q on TLS q+1.  The estimate combines the per-setting shot values
     with the witness offset; the standard error adds the per-setting sample
-    variances.  No readout-bias correction is applied: at F < 1 the raw
-    estimate shrinks by (2F - 1) per measured qubit, the ``bias_factor`` of
-    ``readout``.  ``records`` holds each setting's ``ShotRecord`` when
+    variances.  Each setting's record and shot values are released before
+    the next setting is drawn.  No readout-bias correction is applied: at
+    F < 1 the raw estimate shrinks by (2F - 1) per measured qubit, the
+    ``bias_factor`` of ``readout``.  ``records`` holds each setting's ``ShotRecord`` when
     ``keep_records`` is set, else None.
     """
     if shots_per_setting < 2:
@@ -278,16 +290,30 @@ def estimate_witness_sampled(
         record = sample_shots(
             state, qubits, setting.bases, shots_per_setting, readout, rng
         )
-        values = _value_table(setting)[record.patterns]
-        total += float(values.mean())
-        var_total += float(values.var(ddof=1)) / shots_per_setting
         if keep_records:
             records.append(record)
+        # the shot values die in the call and the record below, so the
+        # next setting draws into an empty working set
+        mean, var = _mean_and_variance(_value_table(setting)[record.patterns])
+        del record
+        total += mean
+        var_total += var / shots_per_setting
     return WitnessEstimate(
         value=float(total),
         stderr=float(np.sqrt(var_total)),
         records=records if keep_records else None,
     )
+
+
+def _mean_and_variance(values: np.ndarray) -> tuple[float, float]:
+    """``values.mean()`` and ``values.var(ddof=1)``, bit for bit, with the
+    variance taken in place: ``values`` is overwritten by its squared
+    deviations, so no second shot-length array is built."""
+    n = values.size
+    mean = values.sum() / n
+    values -= mean
+    values *= values
+    return float(mean), float(values.sum() / (n - 1))
 
 
 def _value_table(setting: MeasurementSetting) -> np.ndarray:
@@ -307,6 +333,17 @@ def _value_table(setting: MeasurementSetting) -> np.ndarray:
 
 
 # two-qubit tomography -----------------------------------------------------------
+
+
+def _pattern_counts(record: ShotRecord) -> np.ndarray:
+    """Shots per outcome pattern, counted one draw block at a time: a single
+    ``np.bincount`` over the record would cast it all to intp, 8 bytes per
+    shot."""
+    size = 2 ** len(record.qubits)
+    counts = np.zeros(size, dtype=np.int64)
+    for start in range(0, record.patterns.size, _SHOT_BLOCK):
+        counts += np.bincount(record.patterns[start:start + _SHOT_BLOCK], minlength=size)
+    return counts
 
 
 _AXES = ("I", "X", "Y", "Z")
@@ -369,10 +406,9 @@ def tomography_two_qubit(
         for a, b in product((1, 2, 3), repeat=2):
             rng = derive_rng(readout.seed, f"tomo-{_AXES[a]}{_AXES[b]}")
             bases = [_AXES[a].lower(), _AXES[b].lower()][::order]
-            record = sample_shots(
+            counts = _pattern_counts(sample_shots(
                 state, [j, k][::order], bases, shots_per_setting, readout, rng
-            )
-            counts = np.bincount(record.patterns, minlength=4)
+            ))
             e[a, b] = int(counts @ (signs[:, 0] * signs[:, 1])) / shots_per_setting
             # pooled single-qubit sums: integers, exact in float below 2^53
             e[a, 0] += int(counts @ signs[:, 0])

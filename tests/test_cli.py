@@ -94,13 +94,14 @@ class TestLoadConfig:
 
 
 def assert_field_rejected(tmp_path, capsys, section, field, value):
-    """A valid config with one field replaced by ``value`` exits 3 with one
-    ``invalid config`` line and writes no output."""
+    """A valid config with one field of ``section`` (``config`` for the top
+    level) set to ``value`` exits 3 with one ``invalid config`` line and
+    writes no output.  Returns that line."""
     data = {
         "device": {"omega10_ghz": 6.0, "readout_fidelity": 0.96, "omega_p0_ghz": 7.6},
         "tls": [{"id": "a", "omega_r_ghz": 5.0, "splitting_mhz": 40.0}],
     }
-    (data["tls"][0] if section == "tls" else data["device"])[field] = value
+    {"config": data, "device": data["device"], "tls": data["tls"][0]}[section][field] = value
     path = tmp_path / "field.json"
     path.write_text(json.dumps(data))
     rc = main(["w-state", "--config", str(path), "--n", "1", "--out", str(tmp_path / "o")])
@@ -108,6 +109,7 @@ def assert_field_rejected(tmp_path, capsys, section, field, value):
     err = capsys.readouterr().err
     assert err.startswith("phasebus: invalid config: ") and err.count("\n") == 1
     assert not os.path.exists(tmp_path / "o")
+    return err
 
 
 class TestExitCodes:
@@ -209,6 +211,14 @@ class TestExitCodes:
         # float("0.96") parses, but a JSON string is no measurement; a JSON
         # integer beyond float range overflows float()
         assert_field_rejected(tmp_path, capsys, section, field, text)
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("config", "devices"), ("device", "readout_fidelty"), ("tls", "splitting_MHz")],
+    )
+    def test_unknown_key_rejected(self, tmp_path, capsys, section, key):
+        # ignored, a misspelled readout_fidelity would run at F = 1 and exit 0
+        assert repr(key) in assert_field_rejected(tmp_path, capsys, section, key, 0.9)
 
     @pytest.mark.parametrize(
         "tls_id", [None, [1], True, 1.5, {"a": 1}, ""],

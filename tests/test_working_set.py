@@ -4,10 +4,18 @@ demo's everyday commands: the ten-TLS cluster correction search, the
 files, and the 2,000-point spectroscopy report.
 
 Each bound sits between the measured peak of the bounded working set
-(4.3, 4.3, 4.3 and 2.4 MiB) and that of the whole-array code it replaced
+(4.3, 1.7, 4.3 and 2.4 MiB) and that of the whole-array code it replaced
 (16.1, 19.3, 24.8 and 5.0 MiB), so building the 4^n overlap tensor,
 drawing every uniform at once, unpacking every shot's outcomes before
 writing them or collecting the scan rows as Python lists fails here.
+
+At 10^6 shots per setting the sampled paths are bounded by bytes per
+shot: the c10 estimate (9.6 MiB), the same estimate keeping its records
+(11.5 MiB) and ``tomography_two_qubit`` on ``bell:1:2`` (1.2 MiB) stay
+below bounds that int64 patterns (8 bytes per shot, counted through a
+whole-record ``np.bincount``), a separate variance temporary or the
+previous setting's arrays, still alive during the next draw, exceed:
+those traced 23.6, 30.5 and 15.5 MiB.
 
 A cluster chain longer than the device is refused before its 2^n target
 or witness is built: at n = 22 that target and its sign arithmetic traced
@@ -22,8 +30,12 @@ from conftest import DEMO_CONFIG
 from phasebus.cli import main
 from phasebus.config_io import load_config
 from phasebus.device import ProtocolError
-from phasebus.measurement import ReadoutModel, estimate_witness_sampled
-from phasebus.protocols import run_cluster_protocol
+from phasebus.measurement import (
+    ReadoutModel,
+    estimate_witness_sampled,
+    tomography_two_qubit,
+)
+from phasebus.protocols import run_bell, run_cluster_protocol
 from phasebus.witnesses import cluster_witness
 
 MIB = 2**20
@@ -47,13 +59,34 @@ def test_cluster_correction_search(demo):
     assert traced_peak(lambda: run_cluster_protocol(demo, 10)) < 8 * MIB
 
 
-def test_c10_estimate_at_100000_shots(demo):
-    state = run_cluster_protocol(demo, 10)[1].corrected_state
+@pytest.fixture(scope="module")
+def c10_state(demo):
+    return run_cluster_protocol(demo, 10)[1].corrected_state
+
+
+def test_c10_estimate_at_100000_shots(c10_state):
     witness = cluster_witness(10)
     peak = traced_peak(
-        lambda: estimate_witness_sampled(state, witness, 100000, ReadoutModel(0.96, 1))
+        lambda: estimate_witness_sampled(c10_state, witness, 100000, ReadoutModel(0.96, 1))
     )
     assert peak < 8 * MIB
+
+
+@pytest.mark.parametrize("keep_records, bound", [(False, 12), (True, 14)])
+def test_c10_estimate_at_a_million_shots(c10_state, keep_records, bound):
+    witness = cluster_witness(10)
+    peak = traced_peak(lambda: estimate_witness_sampled(
+        c10_state, witness, 10**6, ReadoutModel(0.96, 1), keep_records=keep_records
+    ))
+    assert peak < bound * MIB
+
+
+def test_tomography_at_a_million_shots(demo):
+    state = run_bell(demo, 1, 2).final_state
+    peak = traced_peak(
+        lambda: tomography_two_qubit(state, 1, 2, 10**6, ReadoutModel(0.96, 1))
+    )
+    assert peak < 3 * MIB
 
 
 def test_c10_shot_files_at_100000_shots(tmp_path):

@@ -55,6 +55,11 @@ commands are:
   10: ``tomo --target bell:10:1``, exact and with 1000 shots
 - a full-device ``rwa-check`` (no ``--tls``), which tunes the bus onto
   each of the ten TLSs in turn
+- the two sides of the pattern-width boundary, where a shot's outcome
+  pattern moves from one byte to two: ``witness`` w8 and w9, each with 50
+  shots and ``--emit-shots``, at the demo readout fidelity; and ``tomo``
+  with 3 * 4096 + 7 shots, whose pattern counts run block by block into a
+  partial last block
 - registers longer than the ten-TLS device, which must exit 4 before
   anything 2^n-sized is built and write no output: ``cluster --n 11``,
   ``witness --target c11`` and ``witness --target w11``
@@ -125,6 +130,9 @@ EXTRA = {
     "tomo-10-1-exact": ["tomo", "--target", "bell:10:1"],
     "tomo-10-1-1000": ["tomo", "--target", "bell:10:1", "--shots", "1000"],
     "rwa-check-all": ["rwa-check"],
+    "witness-w8-emit": ["witness", "--target", "w8", "--shots", "50", "--emit-shots"],
+    "witness-w9-emit": ["witness", "--target", "w9", "--shots", "50", "--emit-shots"],
+    "tomo-partial-block": ["tomo", "--target", "bell:1:2", "--shots", "12295"],
     "cluster-11": ["cluster", "--n", "11"],
     "witness-c11": ["witness", "--target", "c11"],
     "witness-w11": ["witness", "--target", "w11"],
