@@ -12,10 +12,13 @@ The file is JSON with two top-level keys::
     }
 
 ``omega_p0_ghz`` is optional (spectroscopy only), and so is
-``readout_fidelity`` (default 1).  Any other key, at any level, is a
-``ConfigError``.  Splittings are the
-observed spectroscopic gaps in MHz; the coupling used by the gate calculus
-is S = pi * splitting (rad/s), making the full swap time tau = 1 / (2 *
+``readout_fidelity`` (default 1); an optional number is omitted, never
+null.  The config, the device block and each TLS entry are checked as
+objects of known keys where the parse reaches them, before any number is
+read: a block that is missing, is not an object or holds any other key is
+a ``ConfigError`` naming the block.  Splittings are the observed
+spectroscopic gaps in MHz; the coupling used by the gate calculus is
+S = pi * splitting (rad/s), making the full swap time tau = 1 / (2 *
 splitting).
 """
 
@@ -30,18 +33,6 @@ from .device import BiasModel, ConfigError, DeviceConfig, TlsParams
 GHZ_TO_RAD = 2.0 * np.pi * 1e9
 
 
-def tls_from_splitting(tls_id: str | int, omega_r_ghz: float, splitting_mhz: float) -> TlsParams:
-    """TLS parameters from a spectroscopy line: position and gap."""
-    # str() would name a TLS after a null, a list or a boolean
-    if isinstance(tls_id, bool) or not isinstance(tls_id, (str, int)) or tls_id == "":
-        raise TypeError(f"TLS id {tls_id!r} is not a non-empty string or an integer")
-    return TlsParams(
-        id=str(tls_id),
-        omega_r=omega_r_ghz * GHZ_TO_RAD,
-        coupling=np.pi * splitting_mhz * 1e6,
-    )
-
-
 def _number(value) -> float:
     # only a JSON number: float("6.0") and float(True) would pass a string
     # or a boolean as a measurement
@@ -50,50 +41,48 @@ def _number(value) -> float:
     return float(value)
 
 
-_CONFIG_KEYS = {"device", "tls"}
-_DEVICE_KEYS = {"omega10_ghz", "readout_fidelity", "omega_p0_ghz"}
-_TLS_KEYS = {"id", "omega_r_ghz", "splitting_mhz"}
-
-
-def _reject_unknown_keys(data) -> None:
-    """Refuse any key outside the known ones, at every level: a misspelled
-    optional key would otherwise be ignored and run at its default.
-    Blocks that are not objects are left to the structure checks."""
-    levels = [(data, _CONFIG_KEYS, "config")]
-    if isinstance(data, dict):
-        levels.append((data.get("device"), _DEVICE_KEYS, "device block"))
-        if isinstance(data.get("tls"), list):
-            levels += [(row, _TLS_KEYS, "TLS entry") for row in data["tls"]]
-    for block, known, where in levels:
-        unknown = sorted(set(block) - known) if isinstance(block, dict) else []
-        if unknown:
-            raise ConfigError(
-                f"unknown key {', '.join(map(repr, unknown))} in {where}; "
-                f"expected {', '.join(sorted(known))}"
-            )
+def _block(value, known: set[str], where: str) -> dict:
+    """``value`` when it is a JSON object holding only ``known`` keys: a
+    misspelled optional key would otherwise be ignored and run at its
+    default."""
+    if not isinstance(value, dict):  # a missing block reads as None
+        raise ConfigError(f"{where} must be an object, got {value!r:.40}")
+    unknown = sorted(set(value) - known)
+    if unknown:
+        raise ConfigError(
+            f"unknown key {', '.join(map(repr, unknown))} in {where}; "
+            f"expected {', '.join(sorted(known))}"
+        )
+    return value
 
 
 def parse_config(data: dict) -> DeviceConfig:
-    _reject_unknown_keys(data)
-    try:
-        device = data["device"]
-        tls_rows = data["tls"]
-        omega10 = _number(device["omega10_ghz"]) * GHZ_TO_RAD
-        readout = _number(device.get("readout_fidelity", 1.0))
-        omega_p0 = device.get("omega_p0_ghz")
-        omega_p0 = None if omega_p0 is None else _number(omega_p0)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"malformed config structure: {exc}") from exc
+    data = _block(data, {"device", "tls"}, "config")
+    device = _block(
+        data.get("device"), {"omega10_ghz", "readout_fidelity", "omega_p0_ghz"}, "device block"
+    )
+    tls_rows = data.get("tls")
     if not isinstance(tls_rows, list) or not tls_rows:
         raise ConfigError("config needs a non-empty 'tls' list")
+    rows = [_block(row, {"id", "omega_r_ghz", "splitting_mhz"}, "TLS entry") for row in tls_rows]
+    try:
+        omega10 = _number(device["omega10_ghz"]) * GHZ_TO_RAD
+        readout = _number(device.get("readout_fidelity", 1.0))
+        omega_p0 = _number(device["omega_p0_ghz"]) if "omega_p0_ghz" in device else None
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"malformed device block: {exc}") from exc
     tls = []
-    for row in tls_rows:
+    for row in rows:
         try:
-            tls.append(
-                tls_from_splitting(
-                    row["id"], _number(row["omega_r_ghz"]), _number(row["splitting_mhz"])
-                )
-            )
+            tls_id = row["id"]
+            # str() would name a TLS after a null, a list or a boolean
+            if isinstance(tls_id, bool) or not isinstance(tls_id, (str, int)) or tls_id == "":
+                raise TypeError(f"TLS id {tls_id!r} is not a non-empty string or an integer")
+            tls.append(TlsParams(
+                id=str(tls_id),
+                omega_r=_number(row["omega_r_ghz"]) * GHZ_TO_RAD,
+                coupling=np.pi * _number(row["splitting_mhz"]) * 1e6,
+            ))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed TLS entry {row!r}: {exc}") from exc
     bias = BiasModel(omega_p0 * GHZ_TO_RAD) if omega_p0 is not None else None

@@ -70,8 +70,9 @@ class DensityMatrix:
 def basis_state(labels) -> StateVector:
     """Computational basis state from per-qubit labels.
 
-    Labels may be '0'/'1' or 'g'/'e' (or the ints 0/1); the first label is
-    qubit 0 (the bus).  ``basis_state("0ge")`` is ``|0,g,e>``.
+    Labels may be '0'/'1' or 'g'/'e' (or the ints 0/1, read as '0'/'1');
+    any other label is a ``ValueError``.  The first label is qubit 0 (the
+    bus).  ``basis_state("0ge")`` is ``|0,g,e>``.
     """
     labels = list(labels)
     if not labels:
@@ -80,8 +81,8 @@ def basis_state(labels) -> StateVector:
         raise ValueError(f"at most {MAX_QUBITS} qubits supported, got {len(labels)}")
     index = 0
     for k, lab in enumerate(labels):
-        bit = _LABEL_BITS[str(lab)] if not isinstance(lab, int) else lab
-        if bit not in (0, 1):
+        bit = _LABEL_BITS.get(str(lab))
+        if bit is None:
             raise ValueError(f"bad qubit label {lab!r}")
         index |= bit << k
     amps = np.zeros(2 ** len(labels), dtype=np.complex128)

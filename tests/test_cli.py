@@ -221,6 +221,33 @@ class TestExitCodes:
         assert repr(key) in assert_field_rejected(tmp_path, capsys, section, key, 0.9)
 
     @pytest.mark.parametrize(
+        "section, field", [("device", "readout_fidelity"), ("device", "omega_p0_ghz")]
+    )
+    def test_null_number_rejected(self, tmp_path, capsys, section, field):
+        # an optional number is omitted, never null: read as absent, a null
+        # omega_p0_ghz would pass as "no bias model"
+        assert_field_rejected(tmp_path, capsys, section, field, None)
+
+    @pytest.mark.parametrize(
+        "key, value, block",
+        [("device", [], "device block"), ("device", None, "device block"),
+         ("tls", [1], "TLS entry")],
+        ids=["device-array", "device-null", "tls-number"],
+    )
+    def test_non_object_block_rejected(self, tmp_path, capsys, key, value, block):
+        # the error names the block, not Python's own indexing failure
+        assert block in assert_field_rejected(tmp_path, capsys, "config", key, value)
+
+    def test_top_level_array_rejected(self, tmp_path, capsys):
+        path = tmp_path / "array.json"
+        path.write_text(json.dumps([example_config_dict()]))
+        rc = main(["w-state", "--config", str(path), "--n", "1", "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("phasebus: invalid config: config ") and err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "o")
+
+    @pytest.mark.parametrize(
         "tls_id", [None, [1], True, 1.5, {"a": 1}, ""],
         ids=["null", "list", "true", "float", "object", "empty"],
     )

@@ -58,6 +58,17 @@ class TestBasisState:
         with pytest.raises(ValueError):
             basis_state([0] * 17)
 
+    @pytest.mark.parametrize(
+        "labels", ["0x", ["2"], [1.0], [True], [2]], ids=["x", "text-2", "float", "true", "int-2"]
+    )
+    def test_bad_label_rejected(self, labels):
+        # each label is looked up as text: True, 1.0 and "2" name no bit
+        with pytest.raises(ValueError, match="bad qubit label"):
+            basis_state(labels)
+
+    def test_integer_labels_read_as_text(self):
+        assert basis_state([np.int64(1), 0, 1]).amplitudes[0b101] == 1.0
+
 
 class TestApplyUnitary:
     def test_identity_leaves_state(self):

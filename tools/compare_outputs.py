@@ -63,6 +63,10 @@ commands are:
 - registers longer than the ten-TLS device, which must exit 4 before
   anything 2^n-sized is built and write no output: ``cluster --n 11``,
   ``witness --target c11`` and ``witness --target w11``
+- a copy of the demo config without its optional ``readout_fidelity`` and
+  ``omega_p0_ghz``: ``w-state --n 3``, ``tomo --target bell:1:2 --shots
+  1000`` (read out at the default F = 1) and ``spectroscopy --points 50``,
+  which exits 4 with no bias model and writes no output
 - every demo script
 
 stderr is not compared: warnings carry source paths and line numbers.
@@ -143,6 +147,13 @@ REVERSED = {
     "spectroscopy-300-reversed": ["spectroscopy", "--points", "300"],
     "w-state-10-reversed": ["w-state", "--n", "10"],
 }
+# the demo config without its optional keys, written beside it
+MINIMAL_CONFIG = os.path.join("demos", "device_config_minimal.json")
+MINIMAL = {
+    "w-state-3-minimal": ["w-state", "--n", "3"],
+    "tomo-1000-minimal": ["tomo", "--target", "bell:1:2", "--shots", "1000"],
+    "spectroscopy-50-minimal": ["spectroscopy", "--points", "50"],
+}
 
 
 def cases() -> dict[str, list[str]]:
@@ -154,7 +165,8 @@ def cases() -> dict[str, list[str]]:
             workdir = os.path.join("out", f"{workload}-seed{seed}")
             for exp in workloads.experiments(workload, seed, workdir):
                 out[exp.out] = phasebus + exp.argv(seed)
-    for config, extra in ((CONFIG, EXTRA), (REVERSED_CONFIG, REVERSED)):
+    for config, extra in ((CONFIG, EXTRA), (REVERSED_CONFIG, REVERSED),
+                          (MINIMAL_CONFIG, MINIMAL)):
         for name, args in extra.items():
             out[name] = phasebus + args + ["--config", config, "--seed", "1",
                                            "--out", os.path.join("out", name)]
@@ -169,9 +181,13 @@ def run_tree(src: str, rundir: str) -> dict[str, tuple[int, bytes]]:
     shutil.copytree(os.path.join(ROOT, "demos"), os.path.join(rundir, "demos"))
     with open(os.path.join(rundir, CONFIG)) as fh:
         config = json.load(fh)
-    config["tls"].reverse()
-    with open(os.path.join(rundir, REVERSED_CONFIG), "w") as fh:
-        json.dump(config, fh, indent=2)
+    variants = {
+        REVERSED_CONFIG: dict(config, tls=config["tls"][::-1]),
+        MINIMAL_CONFIG: dict(config, device={"omega10_ghz": config["device"]["omega10_ghz"]}),
+    }
+    for path, variant in variants.items():
+        with open(os.path.join(rundir, path), "w") as fh:
+            json.dump(variant, fh, indent=2)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1")
     results = {}
     for name, argv in cases().items():
