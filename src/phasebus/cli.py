@@ -41,16 +41,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("w-state", parents=[common], help="shared-excitation W state")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=["general", "paper-n3"], default="general")
+    p.add_argument("--n", type=int, required=True, help="number of TLS qubits")
+    p.add_argument("--mode", choices=["general", "paper-n3"], default="general",
+                   help="window timing; paper-n3 is the paper's tau/3, tau/2, "
+                        "tau/2 variant (n = 3 only)")
 
     p = sub.add_parser("bell", parents=[common], help="Bell pair of two TLSs")
     p.add_argument("--target", default="bell:1:2", help="bell:j:k")
 
     p = sub.add_parser("cluster", parents=[common], help="cluster chain")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--bus-init", choices=["plus", "ground"], default="plus")
-    p.add_argument("--search-corrections", action="store_true")
+    p.add_argument("--n", type=int, required=True, help="number of TLS qubits")
+    p.add_argument("--bus-init", choices=["plus", "ground"], default="plus",
+                   help="bus state before the chain is linked: |+> or |0>")
+    p.add_argument("--search-corrections", action="store_true",
+                   help="attach corrections.csv; the search itself always runs")
 
     p = sub.add_parser("witness", parents=[common], help="witness evaluation")
     p.add_argument("--target", required=True, help="wN or cN, e.g. w3, c4")
@@ -67,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shots per setting; 0 = exact expectations")
 
     p = sub.add_parser("spectroscopy", parents=[common], help="synthetic bias scan")
-    p.add_argument("--points", type=int, default=2000)
+    p.add_argument("--points", type=int, default=2000,
+                   help="bias grid points, at least 3")
 
     p = sub.add_parser("rwa-check", parents=[common],
                        help="full-model vs exchange-window mismatch per TLS")
@@ -326,7 +331,3 @@ def main(argv=None) -> int:
         print(f"phasebus: cannot write output: {exc}", file=sys.stderr)
         return 5
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -43,7 +43,7 @@ class TlsParams:
                 f"TLS {self.id}: coupling/omega_r = "
                 f"{self.coupling / self.omega_r:.3g} > 0.05; weak-coupling "
                 "assumptions are strained",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

@@ -33,6 +33,12 @@ class TestTlsParams:
         with pytest.warns(UserWarning, match="coupling/omega_r"):
             TlsParams("a", 5.0 * GHZ, 0.5 * GHZ)
 
+    def test_strong_coupling_warning_names_the_caller(self):
+        # not the dataclass-generated __init__, which reads "<string>"
+        with pytest.warns(UserWarning, match="weak-coupling") as rec:
+            TlsParams(id="a", omega_r=1.0, coupling=0.1)
+        assert rec[0].filename == __file__
+
     def test_splitting_coupling_relation(self):
         # full swap time is 1 / (2 * splitting)
         tls = TlsParams("a", 5.0 * GHZ, np.pi * 40e6)

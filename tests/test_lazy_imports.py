@@ -42,6 +42,19 @@ def loaded_by_command(tmp_path, *argv: str) -> set[str]:
     return loaded_after(code, *argv, "--config", DEMO_CONFIG, "--out", str(tmp_path))
 
 
+def test_process_entry_loads_what_main_loads(tmp_path):
+    argv = ("witness", "--target", "c4", "--config", DEMO_CONFIG)
+    code = (
+        "from phasebus.__main__ import run\n"
+        "if run() != 0:\n"
+        "    raise SystemExit('command failed')"
+    )
+    through_run = loaded_after(code, *argv, "--out", str(tmp_path / "run"))
+    assert through_run - {"phasebus.__main__"} == loaded_by_command(
+        tmp_path / "main", *argv[:3]
+    )
+
+
 def test_load_config_loads_only_its_layers():
     code = "import sys, phasebus\nphasebus.load_config(sys.argv[1])"
     assert loaded_after(code, DEMO_CONFIG) == {
