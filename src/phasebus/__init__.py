@@ -84,7 +84,6 @@ _SUBMODULE_EXPORTS = {
         "group_settings",
         "w3_witness_decomposed",
         "w_witness",
-        "witness_to_csv",
         "witness_value_exact",
     ),
 }

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import sys
 
@@ -187,7 +186,7 @@ def _witness_preparation(args, config: DeviceConfig):
 
 def _cmd_witness(args, config: DeviceConfig, report: Report) -> None:
     from .protocols import tls_register_state
-    from .witnesses import group_settings, witness_to_csv, witness_value_exact
+    from .witnesses import group_settings, witness_value_exact
 
     _check_count("--shots", args.shots, 0)
     if args.shots == 1:
@@ -211,7 +210,8 @@ def _cmd_witness(args, config: DeviceConfig, report: Report) -> None:
         if args.emit_shots:
             for idx, record in enumerate(est.records):
                 report.attach_file(f"shots_setting_{idx}.csv", record.to_csv)
-    report.attach_file("witness_terms.csv", functools.partial(witness_to_csv, witness))
+    report.attach_csv("witness_terms.csv", ["coefficient", "pauli_string"],
+                      [(float(c), p.labels) for c, p in witness.terms])
 
 
 def _cmd_tomo(args, config: DeviceConfig, report: Report) -> None:

@@ -16,10 +16,11 @@ The file is JSON with two top-level keys::
 null.  The config, the device block and each TLS entry are checked as
 objects of known keys where the parse reaches them, before any number is
 read: a block that is missing, is not an object or holds any other key is
-a ``ConfigError`` naming the block.  Splittings are the observed
-spectroscopic gaps in MHz; the coupling used by the gate calculus is
-S = pi * splitting (rad/s), making the full swap time tau = 1 / (2 *
-splitting).
+a ``ConfigError`` naming the block.  A key repeated within one object,
+of which ``json`` alone would keep the last, is one naming the key.
+Splittings are the observed spectroscopic gaps in MHz; the coupling used
+by the gate calculus is S = pi * splitting (rad/s), making the full swap
+time tau = 1 / (2 * splitting).
 """
 
 from __future__ import annotations
@@ -39,6 +40,15 @@ def _number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{value!r} is not a number")
     return float(value)
+
+
+def _unique_keys(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _block(value, known: set[str], where: str) -> dict:
@@ -95,11 +105,11 @@ def load_config(path) -> DeviceConfig:
     """Read and validate a device config file.
 
     Raises OSError, UnicodeDecodeError, json.JSONDecodeError or
-    RecursionError for input that is not JSON text, and ConfigError when a
-    physical invariant fails.
+    RecursionError for input that is not JSON text, and ConfigError for a
+    repeated key or when a physical invariant fails.
     """
     with open(path) as fh:
-        data = json.load(fh)
+        data = json.load(fh, object_pairs_hook=_unique_keys)
     return parse_config(data)
 
 

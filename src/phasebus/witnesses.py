@@ -11,7 +11,6 @@ outcomes into its share of the witness value, plus an identity offset.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import comb, isfinite, pi, sqrt
@@ -309,15 +308,3 @@ def group_settings(witness: WitnessOperator) -> list[MeasurementSetting]:
     witness exactly.
     """
     return witness.settings
-
-
-# serialization ---------------------------------------------------------------
-
-
-def witness_to_csv(witness: WitnessOperator, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["coefficient", "pauli_string"])
-        for coeff, pauli in witness.terms:
-            writer.writerow([repr(float(coeff)), pauli.labels])
-

@@ -93,23 +93,33 @@ class TestLoadConfig:
         assert cfg.swap_time(1) == pytest.approx(12.5e-9)
 
 
-def assert_field_rejected(tmp_path, capsys, section, field, value):
-    """A valid config with one field of ``section`` (``config`` for the top
-    level) set to ``value`` exits 3 with one ``invalid config`` line and
-    writes no output.  Returns that line."""
-    data = {
+def valid_config():
+    return {
         "device": {"omega10_ghz": 6.0, "readout_fidelity": 0.96, "omega_p0_ghz": 7.6},
         "tls": [{"id": "a", "omega_r_ghz": 5.0, "splitting_mhz": 40.0}],
     }
-    {"config": data, "device": data["device"], "tls": data["tls"][0]}[section][field] = value
+
+
+def assert_config_rejected(tmp_path, capsys, text):
+    """Config file ``text`` exits 3 with one ``invalid config`` line and
+    writes no output.  Returns that line."""
     path = tmp_path / "field.json"
-    path.write_text(json.dumps(data))
+    path.write_text(text)
     rc = main(["w-state", "--config", str(path), "--n", "1", "--out", str(tmp_path / "o")])
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("phasebus: invalid config: ") and err.count("\n") == 1
     assert not os.path.exists(tmp_path / "o")
     return err
+
+
+def assert_field_rejected(tmp_path, capsys, section, field, value):
+    """A valid config with one field of ``section`` (``config`` for the top
+    level) set to ``value`` is rejected as ``assert_config_rejected``
+    checks.  Returns the error line."""
+    data = valid_config()
+    {"config": data, "device": data["device"], "tls": data["tls"][0]}[section][field] = value
+    return assert_config_rejected(tmp_path, capsys, json.dumps(data))
 
 
 class TestExitCodes:
@@ -219,6 +229,23 @@ class TestExitCodes:
     def test_unknown_key_rejected(self, tmp_path, capsys, section, key):
         # ignored, a misspelled readout_fidelity would run at F = 1 and exit 0
         assert repr(key) in assert_field_rejected(tmp_path, capsys, section, key, 0.9)
+
+    @pytest.mark.parametrize(
+        "key, once, twice",
+        [("tls", '"tls": [', '"tls": [], "tls": ['),
+         ("readout_fidelity", '"readout_fidelity": 0.96',
+          '"readout_fidelity": 0.96, "readout_fidelity": 0.9'),
+         ("splitting_mhz", '"splitting_mhz": 40.0',
+          '"splitting_mhz": 40.0, "splitting_mhz": 400.0')],
+        ids=["config", "device", "tls"],
+    )
+    def test_repeated_key_rejected(self, tmp_path, capsys, key, once, twice):
+        # json keeps the last of two equal keys, so each of these configs
+        # would load (the TLS entry at 400 MHz) and exit 0
+        text = json.dumps(valid_config())
+        assert text.count(once) == 1
+        err = assert_config_rejected(tmp_path, capsys, text.replace(once, twice))
+        assert repr(key) in err
 
     @pytest.mark.parametrize(
         "section, field", [("device", "readout_fidelity"), ("device", "omega_p0_ghz")]

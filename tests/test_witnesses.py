@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import literal_cluster_operator
-from phasebus.paulis import SIGMA, PauliString, apply_pauli, pauli_decompose, pauli_sum_matrix
+from conftest import DEMO_CONFIG, literal_cluster_operator
+from phasebus.cli import main
+from phasebus.paulis import SIGMA, apply_pauli, pauli_decompose, pauli_sum_matrix
 from phasebus.protocols import cluster_state, w_state
 from phasebus.states import StateVector, expectation
 from phasebus.witnesses import (
@@ -19,7 +20,6 @@ from phasebus.witnesses import (
     group_settings,
     w3_witness_decomposed,
     w_witness,
-    witness_to_csv,
     witness_value_exact,
 )
 
@@ -447,15 +447,23 @@ class TestWitnessValueExact:
 
 class TestSerialization:
     def test_csv_round_trip(self, tmp_path):
-        w = cluster_witness(3)
-        path = tmp_path / "witness.csv"
-        witness_to_csv(w, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["coefficient", "pauli_string"]
-        back = [(float(c), PauliString(labels)) for c, labels in rows[1:]]
-        assert len(back) == len(w.terms)
-        assert np.abs(pauli_sum_matrix(back, 3) - w.to_matrix()).max() < 1e-12
+        # every witness run writes its term list as witness_terms.csv: the
+        # rows follow witness.terms in order and each coefficient reads back
+        # to the same bits
+        for args, witness in [
+            (["--target", "c3"], cluster_witness(3)),
+            (["--target", "w3", "--decomposed"], w3_witness_decomposed()),
+            (["--target", "w10"], w_witness(10)),
+        ]:
+            out = tmp_path / args[1]
+            assert main(["witness", "--config", DEMO_CONFIG, *args, "--out", str(out)]) == 0
+            with open(out / "witness_terms.csv", newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["coefficient", "pauli_string"]
+            assert [(float(c).hex(), labels) for c, labels in rows[1:]] == [
+                (float(c).hex(), p.labels) for c, p in witness.terms
+            ]
+        assert len(rows) == 1 + 23_812
 
 
 def fancy_index_w_vector(n: int) -> np.ndarray:

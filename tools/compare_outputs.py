@@ -67,6 +67,9 @@ commands are:
   ``omega_p0_ghz``: ``w-state --n 3``, ``tomo --target bell:1:2 --shots
   1000`` (read out at the default F = 1) and ``spectroscopy --points 50``,
   which exits 4 with no bias model and writes no output
+- a copy of the demo config whose TLS ids hold a comma or a double quote
+  (``TLS,1``, ``TLS"2``, ...), so the metric names of ``report.csv`` are
+  quoted: a full ``rwa-check`` and ``spectroscopy --points 50``
 - every demo script
 
 stderr is not compared: warnings carry source paths and line numbers.
@@ -154,6 +157,12 @@ MINIMAL = {
     "tomo-1000-minimal": ["tomo", "--target", "bell:1:2", "--shots", "1000"],
     "spectroscopy-50-minimal": ["spectroscopy", "--points", "50"],
 }
+# the demo config with CSV-quoted TLS ids, written beside it
+QUOTED_CONFIG = os.path.join("demos", "device_config_quoted.json")
+QUOTED = {
+    "rwa-check-all-quoted": ["rwa-check"],
+    "spectroscopy-50-quoted": ["spectroscopy", "--points", "50"],
+}
 
 
 def cases() -> dict[str, list[str]]:
@@ -166,7 +175,7 @@ def cases() -> dict[str, list[str]]:
             for exp in workloads.experiments(workload, seed, workdir):
                 out[exp.out] = phasebus + exp.argv(seed)
     for config, extra in ((CONFIG, EXTRA), (REVERSED_CONFIG, REVERSED),
-                          (MINIMAL_CONFIG, MINIMAL)):
+                          (MINIMAL_CONFIG, MINIMAL), (QUOTED_CONFIG, QUOTED)):
         for name, args in extra.items():
             out[name] = phasebus + args + ["--config", config, "--seed", "1",
                                            "--out", os.path.join("out", name)]
@@ -184,6 +193,10 @@ def run_tree(src: str, rundir: str) -> dict[str, tuple[int, bytes]]:
     variants = {
         REVERSED_CONFIG: dict(config, tls=config["tls"][::-1]),
         MINIMAL_CONFIG: dict(config, device={"omega10_ghz": config["device"]["omega10_ghz"]}),
+        QUOTED_CONFIG: dict(config, tls=[
+            dict(row, id=row["id"].replace("-", (",", '"')[k % 2]))
+            for k, row in enumerate(config["tls"])
+        ]),
     }
     for path, variant in variants.items():
         with open(os.path.join(rundir, path), "w") as fh:
