@@ -389,45 +389,53 @@ def _correction_search(final: StateVector, target_tls: StateVector, n: int):
     """Best per-TLS phase correction diag(1, i^k) maximizing the overlap
     with bus|0> x target x spectators |g>.
 
-    The overlap as a function of the per-qubit phase choices factorizes,
-    so each TLS axis of the overlap tensor expands from (ground, excited)
-    amplitudes to the four phased combinations.  All but the last three
-    TLS axes are expanded at once; the last three are combined one choice
-    at a time, each level reusing its parent's partial sum, so at most
-    4^(n-3) candidates are scored at once, never all 4^n.  Ties resolve to
-    the first candidate in flat order.
+    The overlap factorizes: contracting TLS 1, 2, ... in turn, a prefix of
+    choices leaves a row of amplitudes, and each TLS turns a row's (ground,
+    excited) pairs into four rows ground + i^k excited.  Multiplying by a
+    power of i is exact, so every overlap is the float the full 4^n tensor
+    expansion gives.  No completion of a row beats the sum of its
+    |amplitudes|: a greedy dive along the largest such bound sets a floor,
+    and a prefix whose squared bound, times 1 + 1e-9 against rounding, is
+    below the best value so far is dropped.  The rest is expanded depth
+    first, at most 2^12 amplitudes at a time, so even 4^n exact ties stay
+    small.  Ties go to the lowest flat index (TLS n's choice leads).
+    Overlaps are squared on arrays, as the expansion squares them: a numpy
+    scalar's ``** 2`` goes through ``pow`` and can differ in the last bit.
     """
     # spectator TLSs must sit in |g>, so only the TLS 1..n slice overlaps
     w = np.conj(target_tls.amplitudes) * final.amplitudes[_tls_slice(n)]
-    t = w.reshape((2,) * n)  # axis 0 = TLS n, axis -1 = TLS 1
     phases = np.array([1.0, 1.0j, -1.0, -1.0j])
-    expand = np.stack([np.ones(4), phases], axis=1)
-    tail = min(n, 3)
-    for _ in range(n - tail):
-        # consume the last remaining amplitude axis, prepend its choice axis;
-        # the result axes end up ordered
-        # (choice_(n-tail), ..., choice_1, amplitude_n, ..., amplitude_(n-tail+1))
-        t = np.tensordot(expand, t, axes=([1], [n - 1]))
-    best, best_flat = -np.inf, 0
 
-    def descend(u, level, flat):
-        # level l consumes the amplitude axis of TLS n-tail+1+l, whose
-        # choice weighs 4^(n-tail+l) in the flat order (choice_n leads)
-        nonlocal best, best_flat
-        for choice, phase in enumerate(phases):
-            # multiplying by a power of i is exact: the floats tensordot gives
-            v = u[..., 0] + phase * u[..., 1]
-            at = flat + choice * 4 ** (n - tail + level)
-            if level + 1 < tail:
-                descend(v, level + 1, at)
-                continue
-            overlaps = np.abs(v) ** 2
-            i = int(np.argmax(overlaps))
-            value = float(overlaps.flat[i])
-            if (value, -(at + i)) > (best, -best_flat):
-                best, best_flat = value, at + i
+    def expand(rows, flats):
+        # contract the next TLS, the lowest bit of each row, under each choice
+        weight = 4 ** (n + 1 - rows.shape[1].bit_length())
+        rows = rows[:, None, 0::2] + phases[None, :, None] * rows[:, None, 1::2]
+        rows = rows.reshape(-1, rows.shape[2])
+        flats = (flats[:, None] + np.arange(4) * weight).reshape(-1)
+        return rows, flats, np.abs(rows).sum(axis=1)
 
-    descend(t, 0, 0)
+    root = (w[None, :], np.zeros(1, dtype=np.int64))
+    rows, flats = root
+    for _ in range(n):
+        rows, flats, bound = expand(rows, flats)
+        i = int(np.argmax(bound))
+        rows, flats, bound = rows[i:i + 1], flats[i:i + 1], bound[i:i + 1]
+    best, best_flat = float((bound**2)[0]), int(flats[0])
+    stack = [root]
+    while stack:
+        rows, flats, bound = expand(*stack.pop())
+        if rows.shape[1] == 1:
+            values = bound**2
+            top = float(values.max())
+            flat = int(flats[values == top].min())
+            if (top, -flat) > (best, -best_flat):
+                best, best_flat = top, flat
+            continue
+        keep = bound**2 * (1 + 1e-9) >= best
+        rows, flats = rows[keep], flats[keep]
+        step = max(1, 2**12 // rows.shape[1])
+        stack += [(rows[s:s + step], flats[s:s + step])
+                  for s in reversed(range(0, len(rows), step))]
     idx = tuple(int(k) for k in reversed(np.unravel_index(best_flat, (4,) * n)))
     labels = tuple(_CORRECTION_LABELS[k] for k in idx)
     return best, labels, idx
@@ -451,9 +459,9 @@ def run_cluster_protocol(
     The requested schedule, whose builder checks n and ``bus_init``, comes
     first, and both come before the 2^n target.  The report scores the
     requested bus preparation; the correction search always covers both
-    preparations (a tie goes to ground) and every per-TLS Z^{k pi/2} choice,
-    recording which combination best matches the cluster target and the
-    state it produces.
+    preparations (a tie goes to ground) and finds the per-TLS Z^{k pi/2}
+    choice that best matches the cluster target, pruning only prefixes no
+    completion of which can win, and records it and the state it produces.
     """
     requested = cluster_sequence(config, n, bus_init)
     schedules = {v: requested if v == bus_init else cluster_sequence(config, n, v)

@@ -399,7 +399,7 @@ def assert_matches_brute_force(final, target, n):
 
 class TestCorrectionSearch:
     @pytest.mark.parametrize("spectators", [0, 1, 2, 3])
-    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_random_states_match_brute_force(self, n, spectators):
         # the spectator-free slice scores exactly what the dense oracle's
         # kron padding and spectator-axis sums score
@@ -470,6 +470,37 @@ class TestCorrectionSearch:
             assert _correction_search(final, target, n) == dense_correction_search(
                 final, target, n
             )
+
+    @pytest.mark.parametrize("variant", [BUS_INIT_GROUND, BUS_INIT_PLUS])
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_demo_chain_at_every_length_matches_dense(self, n, variant):
+        # n = 10 is the test above
+        config = load_config(DEMO_CONFIG)
+        final = execute_schedule(cluster_sequence(config, n, variant), config)
+        target = cluster_state(n)
+        assert _correction_search(final, target, n) == dense_correction_search(
+            final, target, n
+        )
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_noisy_phased_clusters_match_dense(self, n):
+        # a cluster state with a random Z^{k pi/2} on each TLS, plus complex
+        # noise of norm `scale` on every amplitude (bus included): fidelity
+        # about 1 / (1 + scale^2), so many prefixes come close to the floor
+        # without reaching it, where a bound off by rounding would prune wrongly
+        rng = np.random.default_rng(900 + n)
+        for scale, low, high in ((0.33, 0.8, 0.97), (0.8, 0.45, 0.8), (1.5, 0.2, 0.45)):
+            phases = rng.integers(0, 4, size=n)
+            tls = apply_phase_corrections(_embed_tls_state(cluster_state(n), n), phases)
+            noise = rng.normal(size=2 ** (n + 1)) + 1j * rng.normal(size=2 ** (n + 1))
+            psi = tls.amplitudes + scale * noise / np.linalg.norm(noise)
+            final = StateVector(psi / np.linalg.norm(psi))
+            got = _correction_search(final, cluster_state(n), n)
+            assert got == dense_correction_search(final, cluster_state(n), n)
+            assert low < got[0] < high
+            if scale < 1:
+                # the correction that undoes the phases still wins
+                assert got[2] == tuple(int(k) for k in (-phases) % 4)
 
 
 class TestSpectatorInvariance:

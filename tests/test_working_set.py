@@ -4,10 +4,14 @@ demo's everyday commands: the ten-TLS cluster correction search, the
 files, and the 2,000-point spectroscopy report.
 
 Each bound sits between the measured peak of the bounded working set
-(4.3, 1.7, 4.3 and 2.4 MiB) and that of the whole-array code it replaced
-(16.1, 19.3, 24.8 and 5.0 MiB), so building the 4^n overlap tensor,
-drawing every uniform at once, unpacking every shot's outcomes before
-writing them or collecting the scan rows as Python lists fails here.
+(0.3, 1.7, 4.3 and 2.4 MiB) and that of the code it replaced (4.3, 19.3,
+24.8 and 5.0 MiB), so scoring the cluster corrections 4^(n-3) at a time
+without pruning, drawing every uniform at once, unpacking every shot's
+outcomes before writing them or collecting the scan rows as Python lists
+fails here.  The pruned correction search keeps its slices small even
+where nothing can be pruned: on the all-ground register, whose 4^10
+candidates tie exactly, and on a random ten-TLS state it traced 1.7 and
+1.0 MiB, against 52 and 5.0 MiB for the same search expanding whole levels.
 
 At 10^6 shots per setting the sampled paths are bounded by bytes per
 shot: the c10 estimate (9.6 MiB), the same estimate keeping its records
@@ -24,6 +28,7 @@ or witness is built: at n = 22 that target and its sign arithmetic traced
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from conftest import DEMO_CONFIG
@@ -35,7 +40,13 @@ from phasebus.measurement import (
     estimate_witness_sampled,
     tomography_two_qubit,
 )
-from phasebus.protocols import run_bell, run_cluster_protocol
+from phasebus.protocols import (
+    _correction_search,
+    cluster_state,
+    run_bell,
+    run_cluster_protocol,
+)
+from phasebus.states import StateVector, basis_state
 from phasebus.witnesses import cluster_witness
 
 MIB = 2**20
@@ -56,7 +67,19 @@ def demo():
 
 
 def test_cluster_correction_search(demo):
-    assert traced_peak(lambda: run_cluster_protocol(demo, 10)) < 8 * MIB
+    assert traced_peak(lambda: run_cluster_protocol(demo, 10)) < 1 * MIB
+
+
+@pytest.mark.parametrize("case", ["all-ground", "random"])
+def test_correction_search_on_hard_inputs(case):
+    if case == "all-ground":
+        final = basis_state("0" + "g" * 10)
+    else:
+        rng = np.random.default_rng(10)
+        psi = rng.normal(size=2**11) + 1j * rng.normal(size=2**11)
+        final = StateVector(psi / np.linalg.norm(psi))
+    target = cluster_state(10)
+    assert traced_peak(lambda: _correction_search(final, target, 10)) < 5 * MIB
 
 
 @pytest.fixture(scope="module")

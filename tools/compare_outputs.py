@@ -70,6 +70,11 @@ commands are:
 - a copy of the demo config whose TLS ids hold a comma or a double quote
   (``TLS,1``, ``TLS"2``, ...), so the metric names of ``report.csv`` are
   quoted: a full ``rwa-check`` and ``spectroscopy --points 50``
+- the cluster correction search at every chain length: ``cluster --n N
+  --search-corrections`` for N = 3, 5, 6, 7, 8 and 9, ``cluster --n 10
+  --bus-init ground --search-corrections`` and exact ``witness`` c6, c8
+  and c9.  Every cluster run searches both bus preparations, so with the
+  lists above each length from 2 to 10 goes through the search under both
 - every demo script
 
 stderr is not compared: warnings carry source paths and line numbers.
@@ -143,6 +148,11 @@ EXTRA = {
     "cluster-11": ["cluster", "--n", "11"],
     "witness-c11": ["witness", "--target", "c11"],
     "witness-w11": ["witness", "--target", "w11"],
+    **{f"cluster-{n}-search": ["cluster", "--n", str(n), "--search-corrections"]
+       for n in (3, 5, 6, 7, 8, 9)},
+    "cluster-10-ground-search": ["cluster", "--n", "10", "--bus-init", "ground",
+                                 "--search-corrections"],
+    **{f"witness-c{n}-exact": ["witness", "--target", f"c{n}"] for n in (6, 8, 9)},
 }
 # the demo config with its TLS list reversed, written into each run directory
 REVERSED_CONFIG = os.path.join("demos", "device_config_reversed.json")
