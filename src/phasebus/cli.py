@@ -315,9 +315,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"phasebus: {args.command}: {exc}", file=sys.stderr)
         return 2
-    except ConfigError as exc:
-        print(f"phasebus: invalid config: {exc}", file=sys.stderr)
-        return 3
     except (ProtocolError, ValueError) as exc:
         print(f"phasebus: {args.command}: {exc}", file=sys.stderr)
         return 4

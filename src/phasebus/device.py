@@ -8,7 +8,7 @@ coincide with register qubit indices (qubit 0 is the bus).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,10 +124,10 @@ class DeviceConfig:
         return np.pi / (2.0 * self.coupling(j))
 
 
-def _diagonal(config: DeviceConfig, k: np.ndarray) -> np.ndarray:
-    """Energies of the basis states with register indices ``k``."""
+def _diagonal(config: DeviceConfig, omega_bus: float, k: np.ndarray) -> np.ndarray:
+    """Energies of the basis states ``k``, the bus at frequency ``omega_bus``."""
     z = 1 - 2 * (k[:, None] >> np.arange(config.num_qubits) & 1)  # column q: Z_q
-    diag = -(config.omega10 / 2.0) * z[:, 0]
+    diag = -(omega_bus / 2.0) * z[:, 0]
     for j, tls in enumerate(config.tls, start=1):
         diag = diag + -(tls.omega_r / 2.0) * z[:, j]
     return diag
@@ -146,14 +146,16 @@ def full_hamiltonian(config: DeviceConfig) -> np.ndarray:
     h = np.zeros((2**n, 2**n), dtype=np.complex128)
     for j, tls in enumerate(config.tls, start=1):
         h[k, k ^ (1 | 1 << j)] = -tls.coupling  # X_bus X_j flips bits 0 and j
-    h[k, k] = _diagonal(config, k)
+    h[k, k] = _diagonal(config, config.omega10, k)
     return h
 
 
-def odd_parity_block(config: DeviceConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The block of ``full_hamiltonian`` on odd excitation parity, built
-    directly: a real symmetric 2^N x 2^N matrix and, for each of its rows,
-    the register index of that basis state.
+def odd_parity_block(
+    config: DeviceConfig, omega_bus: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The block of the full Hamiltonian on odd excitation parity with the
+    bus at ``omega_bus`` (rad/s), built directly: a real symmetric 2^N x 2^N
+    matrix and, for each of its rows, the register index of that state.
 
     Row p holds TLS bits p and the bus bit that makes the parity odd, so the
     indices ascend and row 0 is |1, g, ..., g>.  Each X_bus X_j moves row p
@@ -164,7 +166,7 @@ def odd_parity_block(config: DeviceConfig) -> tuple[np.ndarray, np.ndarray]:
     h = np.zeros((p.size, p.size))
     for j, tls in enumerate(config.tls, start=1):
         h[p, p ^ 1 << (j - 1)] = -tls.coupling
-    h[p, p] = _diagonal(config, index)
+    h[p, p] = _diagonal(config, omega_bus, index)
     return h, index
 
 
@@ -228,20 +230,20 @@ def rwa_infidelity(config: DeviceConfig, j: int, t: float) -> float:
     """Mismatch between the full-Hamiltonian evolution and the ideal
     exchange window, starting from |1, g, ..., g>.
 
-    The bus is first tuned onto resonance with TLS j (``omega10`` becomes
-    that TLS's ``omega_r``; the config's own bus frequency is not read),
-    and the full evolution is moved to the frame rotating at that frequency
-    on every qubit before comparing.  Off-resonant TLSs in the config are
-    the dominant contribution.  The full evolution runs in the odd-parity
-    block only: the Hamiltonian conserves excitation parity and the start
-    state is odd.
+    The bus is tuned onto resonance with TLS j: that TLS's ``omega_r`` is
+    the bus frequency of the odd-parity block and of the rotating frame the
+    full evolution is moved to before comparing, so the config's
+    ``omega10`` is not read.  Off-resonant TLSs in the config are the
+    dominant contribution.  The full evolution runs in the odd-parity block
+    only: the Hamiltonian conserves excitation parity and the start state
+    is odd.  A bad duration raises ``ProtocolError`` before the block is built.
     """
-    config = replace(config, omega10=config.tls_params(j).omega_r)
+    omega_bus = config.tls_params(j).omega_r
     psi0 = basis_state([1] + [0] * config.num_tls)
-    block, index = odd_parity_block(config)
+    ideal = resonant_evolution(psi0, j, t, config)
+    block, index = odd_parity_block(config, omega_bus)
     odd = evolve(StateVector(psi0.amplitudes[index]), block, t)
     amps = np.zeros_like(psi0.amplitudes)
     amps[index] = odd.amplitudes
-    framed = rotating_frame_transform(StateVector(amps), config.omega10, t)
-    ideal = resonant_evolution(psi0, j, t, config)
+    framed = rotating_frame_transform(StateVector(amps), omega_bus, t)
     return 1.0 - fidelity(ideal, framed)

@@ -234,6 +234,17 @@ class TestRwaInfidelity:
             t = fraction * config.swap_time(j)
             assert rwa_infidelity(config, j, t).hex() == rwa_infidelity(tuned, j, t).hex()
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, -1e-9])
+    def test_bad_window_rejected_before_diagonalizing(self, monkeypatch, t):
+        # the window duration is checked before the 2^N odd block reaches eigh
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called for a bad window")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        config = parse_config(example_config_dict(4, 7))
+        with pytest.raises(ProtocolError, match="window duration"):
+            rwa_infidelity(config, 3, t)
+
 
 def dense_rwa_infidelity(config, j, t):
     """The full-register oracle: evolve under the whole dense Hamiltonian."""
@@ -265,11 +276,28 @@ class TestOddParityBlock:
         k = np.arange(h.shape[0])
         odd = k[np.bitwise_count(k) % 2 == 1]
         even = k[np.bitwise_count(k) % 2 == 0]
-        block, index = odd_parity_block(config)
+        block, index = odd_parity_block(config, config.omega10)
         assert np.array_equal(index, odd)
         assert block.dtype == np.float64
         assert block.tobytes() == h[odd][:, odd].real.tobytes()
         assert not h[odd][:, even].any()
+
+    def test_bus_frequency_is_the_argument(self):
+        # the config's omega10 is never read; the diagonal moves with omega_bus
+        config = parse_config(example_config_dict(3, 5))
+        other = dataclasses.replace(config, omega10=2 * config.omega10)
+        omega_bus = config.tls_params(2).omega_r
+        block, index = odd_parity_block(config, omega_bus)
+        same, same_index = odd_parity_block(other, omega_bus)
+        assert block.tobytes() == same.tobytes()
+        assert np.array_equal(index, same_index)
+        shift = 2 * np.pi * 1e8
+        moved, _ = odd_parity_block(config, omega_bus + shift)
+        off = ~np.eye(block.shape[0], dtype=bool)
+        assert np.array_equal(moved[off], block[off])
+        # -(omega_bus/2) Z_bus: the energy rises with omega_bus when the bus is excited
+        expected = np.where(index & 1, shift / 2, -shift / 2)
+        assert np.allclose(np.diag(moved) - np.diag(block), expected, rtol=1e-6, atol=0)
 
     @settings(max_examples=60, deadline=None)
     @given(tuned_configs)

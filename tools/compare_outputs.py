@@ -13,6 +13,10 @@ commands are:
 
 - the ``lab-day`` and ``w-witness`` experiment lists of
   ``bench/workloads.py``, for seeds 1 and 2
+- the commands of its ``full-model`` list, for the same seeds:
+  ``rwa-check --tls k`` on the demo config, with k = seed mod 10 + 1, and
+  a full ``rwa-check`` on ``example_config_dict(8, seed)``, written into
+  each run directory beside the demo config
 - ``witness`` w3 ``--decomposed``, c4, c5, w5 and c10, each with 50 shots
   and ``--emit-shots``; exact ``witness`` c7, w8 and w10; exact ``tomo`` and
   ``tomo`` with 1000 shots; ``spectroscopy --points 3``. These run at the
@@ -96,8 +100,10 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import workloads  # noqa: E402
+from phasebus import example_config_dict  # noqa: E402
 
 CONFIG = workloads.DEMO_CONFIG
 EXTRA = {
@@ -173,6 +179,13 @@ QUOTED = {
     "rwa-check-all-quoted": ["rwa-check"],
     "spectroscopy-50-quoted": ["spectroscopy", "--points", "50"],
 }
+SEEDS = (1, 2)
+
+
+def tls8_config(seed: int) -> str:
+    """The 8-TLS config of the full-model workload at ``seed``, written
+    beside the demo config."""
+    return os.path.join("demos", f"device_config_tls8_seed{seed}.json")
 
 
 def cases() -> dict[str, list[str]]:
@@ -180,10 +193,18 @@ def cases() -> dict[str, list[str]]:
     phasebus = [sys.executable, "-m", "phasebus"]
     out = {}
     for workload in ("lab-day", "w-witness"):
-        for seed in (1, 2):
+        for seed in SEEDS:
             workdir = os.path.join("out", f"{workload}-seed{seed}")
             for exp in workloads.experiments(workload, seed, workdir):
                 out[exp.out] = phasebus + exp.argv(seed)
+    for seed in SEEDS:
+        k = seed % 10 + 1
+        full_model = {f"rwa-check-tls{k}": (["rwa-check", "--tls", str(k)], CONFIG),
+                      "rwa-check-8tls": (["rwa-check"], tls8_config(seed))}
+        for name, (args, config) in full_model.items():
+            outdir = os.path.join("out", f"full-model-seed{seed}", name)
+            out[outdir] = phasebus + args + ["--config", config, "--seed", str(seed),
+                                             "--out", outdir]
     for config, extra in ((CONFIG, EXTRA), (REVERSED_CONFIG, REVERSED),
                           (MINIMAL_CONFIG, MINIMAL), (QUOTED_CONFIG, QUOTED)):
         for name, args in extra.items():
@@ -207,6 +228,7 @@ def run_tree(src: str, rundir: str) -> dict[str, tuple[int, bytes]]:
             dict(row, id=row["id"].replace("-", (",", '"')[k % 2]))
             for k, row in enumerate(config["tls"])
         ]),
+        **{tls8_config(seed): example_config_dict(8, seed) for seed in SEEDS},
     }
     for path, variant in variants.items():
         with open(os.path.join(rundir, path), "w") as fh:
