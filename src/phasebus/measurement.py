@@ -28,8 +28,8 @@ tomography about 1 (its two-bit patterns, counted block by block);
 from __future__ import annotations
 
 import csv
-import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -55,6 +55,7 @@ _SHOT_BLOCK = 4096  # shots per uniform draw: 640 kB of uniforms at m = 10
 def derive_rng(seed: int, label: str) -> np.random.Generator:
     """Named random stream: one master seed, independent per-purpose
     generators, reproducible regardless of execution order."""
+    import hashlib  # here, so runs that draw nothing never load OpenSSL
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
     words = np.frombuffer(digest, dtype=np.uint32)
     return np.random.default_rng(np.random.SeedSequence(words.tolist()))
@@ -62,7 +63,8 @@ def derive_rng(seed: int, label: str) -> np.random.Generator:
 
 @dataclass
 class ReadoutModel:
-    """Bus readout with symmetric flip probability 1 - fidelity."""
+    """Bus readout with symmetric flip probability 1 - fidelity; ``rng``, the
+    stream ``measure_bus`` draws, is derived from ``seed`` on first use."""
 
     fidelity: float = 1.0
     seed: int = 0
@@ -70,7 +72,10 @@ class ReadoutModel:
     def __post_init__(self):
         if not 0.5 < self.fidelity <= 1.0:
             raise ValueError(f"readout fidelity {self.fidelity} outside (0.5, 1]")
-        self.rng = derive_rng(self.seed, "readout")
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        return derive_rng(self.seed, "readout")
 
     @property
     def bias_factor(self) -> float:

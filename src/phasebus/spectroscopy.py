@@ -106,8 +106,8 @@ def synth_spectroscopy(config: DeviceConfig, bias_grid) -> SpectroscopyScan:
     bracketed by the grid; on partial grids, or where a refined splitting
     comes out zero, calibration stops with the last model solved.  Each
     calibration pass after the first re-solves only the bias points that
-    Weyl's bound cannot rule out as holding or bracketing a gap minimum;
-    the returned branches are one full sweep of the final model.
+    Weyl's bound cannot rule out as holding a gap minimum, and their two
+    neighbours; the returned branches are one full sweep of the final model.
     """
     bias = np.asarray(bias_grid, dtype=float)
     if bias.ndim != 1 or not np.all(np.isfinite(bias)) or np.any(np.diff(bias) <= 0):
@@ -158,13 +158,10 @@ def synth_spectroscopy(config: DeviceConfig, bias_grid) -> SpectroscopyScan:
         )
         g, levels = new_g, new_levels
         # a row can hold a column's new minimum only if its lowered bound
-        # reaches the raised value at the column's old minimum row; its two
-        # neighbours are solved too, for the three-point bracket
+        # reaches the raised value at the column's old minimum row; the
+        # convolution adds its two neighbours, for the three-point bracket
         near = np.any(gap_lb - gap_lb.min(axis=0) <= 2.0 * shift, axis=1)
-        solve = near.copy()
-        solve[1:] |= near[:-1]
-        solve[:-1] |= near[1:]
-        rows = np.flatnonzero(solve)
+        rows = np.flatnonzero(np.convolve(near, [1, 1, 1])[1:-1])
         gap_lb -= shift
         branches[rows] = _level_branches(fq[rows], levels, g)
         gap_lb[rows] = np.diff(branches[rows], axis=1)
@@ -244,20 +241,12 @@ def _refine_gap_minimum(bias3, gap3):
 
 
 def _is_prominent(gap: np.ndarray, i: int, depth: float) -> bool:
-    """True when the gap climbs at least ``depth`` above gap[i] on both sides
-    before any value below gap[i] occurs (a genuine dip, not a kink)."""
+    """True when, on both sides, the first value outward that leaves
+    [gap[i], gap[i] + depth) climbs out of it (a genuine dip, not a kink)."""
     g0 = gap[i]
-    for step in (-1, +1):
-        j = i + step
-        ok = False
-        while 0 <= j < len(gap):
-            if gap[j] < g0:
-                break
-            if gap[j] >= g0 + depth:
-                ok = True
-                break
-            j += step
-        if not ok:
+    for side in (gap[:i][::-1], gap[i + 1:]):
+        stop = (side < g0) | (side >= g0 + depth)
+        if not stop.any() or side[stop.argmax()] < g0:
             return False
     return True
 

@@ -15,13 +15,13 @@ from conftest import DEMO_CONFIG
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def loaded_after(code: str, *args: str) -> set[str]:
-    """The phasebus modules in ``sys.modules`` after ``code`` runs with
-    ``args`` as its command line in a fresh interpreter."""
+def loaded_after(code: str, *args: str, package: str = "phasebus") -> set[str]:
+    """The modules of ``package`` in ``sys.modules`` after ``code`` runs
+    with ``args`` as its command line in a fresh interpreter."""
     report = (
         "\nimport json, sys\n"
         "print(json.dumps([m for m in sys.modules"
-        " if m == 'phasebus' or m.startswith('phasebus.')]))"
+        f" if m == {package!r} or m.startswith({package + '.'!r})]))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code + report, *args],
@@ -32,14 +32,15 @@ def loaded_after(code: str, *args: str) -> set[str]:
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
-def loaded_by_command(tmp_path, *argv: str) -> set[str]:
+def loaded_by_command(tmp_path, *argv: str, package: str = "phasebus") -> set[str]:
     code = (
         "import sys\n"
         "from phasebus.cli import main\n"
         "if main(sys.argv[1:]) != 0:\n"
         "    raise SystemExit('command failed')"
     )
-    return loaded_after(code, *argv, "--config", DEMO_CONFIG, "--out", str(tmp_path))
+    return loaded_after(code, *argv, "--config", DEMO_CONFIG, "--out", str(tmp_path),
+                        package=package)
 
 
 def test_process_entry_loads_what_main_loads(tmp_path):
@@ -81,6 +82,16 @@ def test_exact_runs_skip_sampling_and_spectroscopy(tmp_path, argv):
     loaded = loaded_by_command(tmp_path, *argv)
     assert "phasebus.measurement" not in loaded
     assert "phasebus.spectroscopy" not in loaded
+
+
+@pytest.mark.parametrize("shots, loads", [("0", False), ("1000", True)],
+                         ids=["exact", "sampled"])
+@pytest.mark.parametrize("package", ["numpy.random", "_hashlib"])
+def test_only_sampled_tomography_loads_the_random_stack(tmp_path, package, shots, loads):
+    # the readout stream is derived on first draw, and exact tomography
+    # draws nothing
+    argv = ("tomo", "--target", "bell:1:2", "--shots", shots)
+    assert bool(loaded_by_command(tmp_path, *argv, package=package)) is loads
 
 
 def test_unknown_name_raises_and_loads_nothing():

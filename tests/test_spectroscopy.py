@@ -503,3 +503,78 @@ class TestExtractionOracle:
             assert got == want
             kinds.update(msg.split(" ")[0] for _, msg in got[1])
         assert kinds == {"gap", "crossings"}
+
+
+def walked_prominence(gap, i, depth):
+    """Oracle for ``_is_prominent``: walk outward from i, one side at a
+    time; a value below gap[i] fails the side, a value at or above
+    gap[i] + depth passes it, running off the end fails it."""
+    g0 = gap[i]
+    for step in (-1, +1):
+        j = i + step
+        ok = False
+        while 0 <= j < len(gap):
+            if gap[j] < g0:
+                break
+            if gap[j] >= g0 + depth:
+                ok = True
+                break
+            j += step
+        if not ok:
+            return False
+    return True
+
+
+class TestProminence:
+    """The first-index dip test decides exactly as the outward walk."""
+
+    @pytest.mark.parametrize("gap, i, want", [
+        # values equal to gap[i] neither pass nor fail a side
+        ([9, 3, 3, 9], 1, True),
+        ([9, 3, 3, 3, 3], 1, False),
+        # a value exactly at gap[i] + depth passes its side
+        ([5, 3, 5], 1, True),
+        ([5, 3, 4.999], 1, False),
+        # a drop and a climb at the same distance, on opposite sides
+        ([1, 3, 5], 1, False),
+        ([5, 3, 1], 1, False),
+        ([1, 5, 3, 5, 1], 2, True),
+        # on one side: climb before drop passes, drop before climb fails
+        ([0, 5, 3, 5, 0], 2, True),
+        ([5, 0, 3, 0, 5], 2, False),
+        ([5, 3, 3, 5, 0], 1, True),
+        ([5, 3, 3, 0, 5], 1, False),
+        # i next to either end: an empty side fails
+        ([3, 5, 5], 0, False),
+        ([5, 5, 3], 2, False),
+        ([5, 3, 5, 5], 1, True),
+        ([5, 5, 3, 5], 2, True),
+        ([3, 3, 5, 5], 1, False),
+        ([5, 5, 3, 3], 2, False),
+    ])
+    def test_edge_cases(self, gap, i, want):
+        gap = np.array(gap, dtype=float)
+        assert walked_prominence(gap, i, 2.0) is want
+        assert _is_prominent(gap, i, 2.0) is want
+
+    def test_random_gaps(self):
+        rng = np.random.default_rng(33)
+        for _ in range(2000):
+            n = int(rng.integers(1, 12))
+            # small integers make ties with gap[i] and gap[i] + depth common
+            gap = rng.integers(0, 6, n).astype(float)
+            if rng.random() < 0.3:
+                gap += rng.normal(0, 1e-3, n)
+            depth = float(rng.choice([0.0, 1.0, 2.0, 2.5]))
+            for i in range(n):
+                assert _is_prominent(gap, i, depth) == walked_prominence(gap, i, depth)
+
+    @pytest.mark.parametrize("points", [3, 12, 20, 50, 300, 2000])
+    def test_scan_candidates(self, demo, points):
+        configs = [demo] + [parse_config(example_config_dict(n, 1)) for n in (2, 8)]
+        lo = DETECTION_BAND_HZ[0]
+        for config in configs:
+            scan = synth_spectroscopy(config, default_bias_grid(config, points))
+            for gap in np.diff(scan.branch_frequencies, axis=1).T:
+                for i in np.flatnonzero(np.r_[True, gap[1:] < gap[:-1]]).tolist():
+                    assert _is_prominent(gap, i, lo) == walked_prominence(gap, i, lo)

@@ -79,6 +79,11 @@ commands are:
   --bus-init ground --search-corrections`` and exact ``witness`` c6, c8
   and c9.  Every cluster run searches both bus preparations, so with the
   lists above each length from 2 to 10 goes through the search under both
+- ``spectroscopy --points 2000``, the benchmark's grid, on the two 8-TLS
+  configs above and on a crowded 9-TLS config written beside them, whose
+  TLS T1 splits wider than its spacing: its calibration stops on a gap
+  minimum at the scan edge, so the edge fallback and the dip test that
+  follows it are compared at 2,000 points too
 - every demo script
 
 stderr is not compared: warnings carry source paths and line numbers.
@@ -179,6 +184,13 @@ QUOTED = {
     "rwa-check-all-quoted": ["rwa-check"],
     "spectroscopy-50-quoted": ["spectroscopy", "--points", "50"],
 }
+# a 9-TLS config whose T1 splitting exceeds its spacing to T2, written
+# beside the demo config
+CROWDED_CONFIG = os.path.join("demos", "device_config_tls9_crowded.json")
+CROWDED_TLS = [(5.01671, 29.722), (5.112652, 91.722), (5.192194, 46.517),
+               (5.303341, 47.748), (5.411604, 20.72), (5.510599, 90.213),
+               (5.599926, 58.727), (5.718418, 82.606), (5.840489, 76.568)]
+SPECTROSCOPY_2000 = ["spectroscopy", "--points", "2000"]
 SEEDS = (1, 2)
 
 
@@ -205,8 +217,12 @@ def cases() -> dict[str, list[str]]:
             outdir = os.path.join("out", f"full-model-seed{seed}", name)
             out[outdir] = phasebus + args + ["--config", config, "--seed", str(seed),
                                              "--out", outdir]
+    grid_2000 = [(tls8_config(seed), {f"spectroscopy-2000-tls8-seed{seed}": SPECTROSCOPY_2000})
+                 for seed in SEEDS]
+    grid_2000.append((CROWDED_CONFIG, {"spectroscopy-2000-crowded": SPECTROSCOPY_2000}))
     for config, extra in ((CONFIG, EXTRA), (REVERSED_CONFIG, REVERSED),
-                          (MINIMAL_CONFIG, MINIMAL), (QUOTED_CONFIG, QUOTED)):
+                          (MINIMAL_CONFIG, MINIMAL), (QUOTED_CONFIG, QUOTED),
+                          *grid_2000):
         for name, args in extra.items():
             out[name] = phasebus + args + ["--config", config, "--seed", "1",
                                            "--out", os.path.join("out", name)]
@@ -229,6 +245,11 @@ def run_tree(src: str, rundir: str) -> dict[str, tuple[int, bytes]]:
             for k, row in enumerate(config["tls"])
         ]),
         **{tls8_config(seed): example_config_dict(8, seed) for seed in SEEDS},
+        CROWDED_CONFIG: {
+            "device": {"omega10_ghz": 6.0, "omega_p0_ghz": 7.6},
+            "tls": [{"id": f"T{k}", "omega_r_ghz": f, "splitting_mhz": d}
+                    for k, (f, d) in enumerate(CROWDED_TLS)],
+        },
     }
     for path, variant in variants.items():
         with open(os.path.join(rundir, path), "w") as fh:
