@@ -248,6 +248,7 @@ def _cmd_spectroscopy(args, config: DeviceConfig, report: Report) -> None:
     grid = default_bias_grid(config, args.points)
     scan = synth_spectroscopy(config, grid)
     crossings = extract_tls_parameters(scan)
+    report.add("spectroscopy_calibrated", scan.calibrated)
     report.add("crossings_found", len(crossings), units="count")
     for idx, c in enumerate(crossings, start=1):
         report.add(f"crossing_{idx}_bias", c.center_bias, units="I/I0")

@@ -55,7 +55,9 @@ _SHOT_BLOCK = 4096  # shots per uniform draw: 640 kB of uniforms at m = 10
 def derive_rng(seed: int, label: str) -> np.random.Generator:
     """Named random stream: one master seed, independent per-purpose
     generators, reproducible regardless of execution order."""
-    import hashlib  # here, so runs that draw nothing never load OpenSSL
+    # here, so runs that draw nothing never load it; under the process entry
+    # its SHA-256 is the interpreter's own, not OpenSSL's, with the same digest
+    import hashlib
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
     words = np.frombuffer(digest, dtype=np.uint32)
     return np.random.default_rng(np.random.SeedSequence(words.tolist()))

@@ -15,6 +15,7 @@ import numpy as np
 
 from .device import DeviceConfig, ProtocolError, resonant_evolution
 from .paulis import SIGMA
+from .reporting import fmt
 from .states import (
     StateVector,
     apply_unitary,
@@ -89,14 +90,15 @@ class PulseSchedule:
         return len(self.steps)
 
     def to_text(self) -> str:
-        """Line-oriented form, one instruction per line; window durations
-        in ns, which may round the stored seconds in the last bit."""
+        """Line-oriented form, one instruction per line; durations (the
+        double of the stored seconds in ns, which may round it in the last
+        bit) and angles are written as report values, numpy floats alike."""
         lines = []
         for step in self.steps:
             if isinstance(step, ResonantWindow):
-                lines.append(f"WINDOW j={step.tls} t={step.duration * 1e9!r}ns")
+                lines.append(f"WINDOW j={step.tls} t={fmt(float(step.duration) * 1e9)}ns")
             elif isinstance(step, BusRotation):
-                lines.append(f"ROT axis={step.axis} angle={step.angle!r}")
+                lines.append(f"ROT axis={step.axis} angle={fmt(step.angle)}")
             elif isinstance(step, BusReset):
                 lines.append("RESET")
             elif isinstance(step, BusExcite):

@@ -15,13 +15,16 @@ import json
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 def fmt(value) -> str:
-    """Shortest round-trip text for floats, plain str otherwise."""
-    if isinstance(value, bool):
+    """Booleans as 1/0, floats as the shortest round-trip text of their
+    double, plain str otherwise; numpy's booleans and floats alike."""
+    if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 

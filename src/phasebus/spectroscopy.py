@@ -31,10 +31,13 @@ DETECTION_BAND_HZ = (5e6, 500e6)
 @dataclass(frozen=True)
 class SpectroscopyScan:
     """Transition frequencies (Hz) per bias point, sorted ascending, at
-    strictly increasing bias points."""
+    strictly increasing bias points.  ``calibrated`` says whether
+    ``synth_spectroscopy`` met its calibration tolerance; None for a scan
+    it did not synthesize."""
 
     bias_points: np.ndarray          # shape (n_bias,), values in (0, 1)
     branch_frequencies: np.ndarray   # shape (n_bias, n_branch)
+    calibrated: bool | None = None
 
     def __post_init__(self):
         bias = np.asarray(self.bias_points, dtype=float)
@@ -103,8 +106,9 @@ def synth_spectroscopy(config: DeviceConfig, bias_grid) -> SpectroscopyScan:
 
     The grid must be finite and strictly increasing, with values in
     (0, 0.999) of the critical current.  Calibration needs each crossing
-    bracketed by the grid; on partial grids, or where a refined splitting
-    comes out zero, calibration stops with the last model solved.  Each
+    bracketed by the grid; on partial grids, where a refined splitting
+    comes out zero, or after 12 passes, calibration stops with the last
+    model solved, and the scan's ``calibrated`` is False.  Each
     calibration pass after the first re-solves only the bias points that
     Weyl's bound cannot rule out as holding a gap minimum, and their two
     neighbours; the returned branches are one full sweep of the final model.
@@ -135,6 +139,7 @@ def synth_spectroscopy(config: DeviceConfig, bias_grid) -> SpectroscopyScan:
     # row that holds or brackets a column's minimum was, so the observation
     # reads exactly what a full sweep would give
     gap_lb = np.diff(branches, axis=1)
+    calibrated = False
     for _ in range(12):
         observed = _observed_crossings(bias, branches, gap_lb)
         if observed is None:
@@ -144,6 +149,7 @@ def synth_spectroscopy(config: DeviceConfig, bias_grid) -> SpectroscopyScan:
             np.abs(obs_gap - target_gap).max() < 1e-6 * target_gap.min()
             and np.abs(obs_f - target_f).max() < 1e-9 * target_f.min()
         ):
+            calibrated = True
             break
         new_g = g * (target_gap / obs_gap)
         new_levels = levels + (target_f - obs_f)
@@ -165,7 +171,7 @@ def synth_spectroscopy(config: DeviceConfig, bias_grid) -> SpectroscopyScan:
         gap_lb -= shift
         branches[rows] = _level_branches(fq[rows], levels, g)
         gap_lb[rows] = np.diff(branches[rows], axis=1)
-    return SpectroscopyScan(bias, _level_branches(fq, levels, g))
+    return SpectroscopyScan(bias, _level_branches(fq, levels, g), calibrated)
 
 
 # relative size of LAPACK's eigenvalue error allowed for, some 1e5 times

@@ -38,6 +38,20 @@ def ten_defect_config(seed: int = 42, num_tls: int = 10) -> DeviceConfig:
     )
 
 
+def crowded_config_dict() -> dict:
+    """Nine TLSs whose T1 splits wider than its spacing to T2: the config
+    admits it, but spectroscopy's calibration stops on a gap minimum at the
+    scan edge (the crowded config of tools/compare_outputs.py)."""
+    tls = [(5.01671, 29.722), (5.112652, 91.722), (5.192194, 46.517),
+           (5.303341, 47.748), (5.411604, 20.72), (5.510599, 90.213),
+           (5.599926, 58.727), (5.718418, 82.606), (5.840489, 76.568)]
+    return {
+        "device": {"omega10_ghz": 6.0, "omega_p0_ghz": 7.6},
+        "tls": [{"id": f"T{k}", "omega_r_ghz": f, "splitting_mhz": d}
+                for k, (f, d) in enumerate(tls)],
+    }
+
+
 def literal_cluster_operator(n: int) -> WitnessOperator:
     """3I - 2[S_even + S_odd] with each stabilizer projector replaced by the
     bare generator product prod S_k / 2^{|group|}.

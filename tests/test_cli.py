@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import DEMO_CONFIG, crowded_config_dict
 from phasebus.cli import build_parser, main
 from phasebus.config_io import example_config_dict, load_config, parse_config
 from phasebus.device import ConfigError
@@ -516,6 +517,26 @@ class TestSpectroscopyCommand:
         ]
         assert rel_errs and max(rel_errs) < 0.05
         assert not any(m.endswith("_unmatched") for m in rows)
+
+    @pytest.mark.filterwarnings("ignore:gap minimum at scan edge")
+    @pytest.mark.filterwarnings("ignore:crossings at bias")
+    @pytest.mark.parametrize("config, points, calibrated", [
+        ("demo", 2000, "1"), ("demo", 3, "0"), ("crowded", 2000, "0"),
+    ], ids=["demo-2000", "demo-3", "crowded-2000"])
+    def test_reports_whether_calibration_met_its_tolerance(self, tmp_path, config,
+                                                           points, calibrated):
+        # the crowded config loses its T1 crossing to a gap minimum at the
+        # scan edge, so calibration stops there, as it does on 3 points
+        if config == "crowded":
+            path = tmp_path / "crowded.json"
+            path.write_text(json.dumps(crowded_config_dict()))
+            config = str(path)
+        else:
+            config = DEMO_CONFIG
+        out = str(tmp_path / "spec")
+        assert main(["spectroscopy", "--config", config, "--points", str(points),
+                     "--out", out]) == 0
+        assert read_rows(out)["spectroscopy_calibrated"]["value"] == calibrated
 
     @pytest.mark.filterwarnings("ignore:crossings at bias")
     @pytest.mark.parametrize("points", [

@@ -1,9 +1,11 @@
 """The process entry ``phasebus.__main__.run``: a command process runs with
-the cyclic collector off and its heap frozen before exit, keeps every exit
-code and writes the same files as ``cli.main``; in-process callers of
-``cli.main`` keep their own collector."""
+the cyclic collector off and its heap frozen before exit, and with OpenSSL
+unloaded (``hashlib`` on the interpreter's built-in SHA-256); it keeps every
+exit code and writes the same files as ``cli.main``; in-process callers of
+``cli.main`` keep their own collector and OpenSSL."""
 
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +16,7 @@ import pytest
 
 from conftest import DEMO_CONFIG
 from phasebus.cli import main
+from phasebus.measurement import derive_rng
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -39,6 +42,48 @@ def test_run_disables_and_freezes_the_collector(tmp_path):
                   "--out", "o"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False", "True", "0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "--target", "c4", "--shots", "50"],
+    ["tomo", "--target", "bell:1:2", "--shots", "1000"],
+], ids=lambda argv: argv[0])
+def test_sampled_runs_keep_openssl_unloaded(tmp_path, argv):
+    code = (
+        "import sys\n"
+        "from phasebus.__main__ import run\n"
+        "code = run()\n"
+        "print(code, 'numpy.random' in sys.modules, sys.modules.get('_hashlib') is None)"
+    )
+    proc = child(["-c", code, *argv, "--config", DEMO_CONFIG, "--out", "o"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "True", "True"]
+
+
+STREAM_SEEDS = (0, 1, 7, 2**31 - 1)
+STREAM_LABELS = ("readout", "witness-setting-0", "tomo-XX")
+
+
+def test_builtin_sha256_derives_the_openssl_streams(tmp_path):
+    # derive_rng hashes with OpenSSL in this process and with the
+    # interpreter's own SHA-256 in a child that blocks _hashlib, as run() does
+    code = (
+        "import sys\n"
+        "sys.modules['_hashlib'] = None\n"
+        "import hashlib\n"
+        "from phasebus.measurement import derive_rng\n"
+        "print(hashlib.sha256.__module__)\n"
+        f"for seed in {STREAM_SEEDS!r}:\n"
+        f"    for label in {STREAM_LABELS!r}:\n"
+        "        print(derive_rng(seed, label).random(16).tobytes().hex())"
+    )
+    proc = child(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    module, *streams = proc.stdout.split()
+    assert module == "_sha256"
+    assert hashlib.sha256.__module__ == "_hashlib"
+    assert streams == [derive_rng(seed, label).random(16).tobytes().hex()
+                       for seed in STREAM_SEEDS for label in STREAM_LABELS]
 
 
 def _unknown_key_config(tmp_path):

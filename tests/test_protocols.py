@@ -647,6 +647,19 @@ class TestScheduleBoundary:
         got = execute_schedule(sched, config3).amplitudes
         assert got.tobytes() == execute_schedule(schedule(2), config3).amplitudes.tobytes()
 
+    def test_numpy_float_duration_and_angle_run_and_serialize(self, config3):
+        # numpy 2 writes repr(np.float64(12.5)) as "np.float64(12.5)"
+        def schedule(t, angle):
+            return PulseSchedule((BusExcite(), ResonantWindow(1, t), BusRotation("y", angle)))
+
+        sched = schedule(np.float64(12.5e-9), np.float64(np.pi / 2))
+        plain = schedule(12.5e-9, np.pi / 2)
+        assert sched.to_text() == plain.to_text() == (
+            "EXCITE\nWINDOW j=1 t=12.5ns\nROT axis=y angle=1.5707963267948966\n"
+        )
+        got = execute_schedule(sched, config3).amplitudes
+        assert got.tobytes() == execute_schedule(plain, config3).amplitudes.tobytes()
+
     @pytest.mark.parametrize("step", [None, "RESET", BusExcite, ("WINDOW", 1, 1e-9)])
     def test_rejects_unknown_instruction(self, step):
         # to_text used to write such a step as an empty line

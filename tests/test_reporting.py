@@ -2,7 +2,10 @@
 
 import os
 
-from phasebus.reporting import Report, emit_report
+import numpy as np
+import pytest
+
+from phasebus.reporting import Report, emit_report, fmt
 
 
 def hand_built_report() -> Report:
@@ -79,3 +82,40 @@ def test_emit_report_without_rows_or_attachments(tmp_path):
     )
     assert (tmp_path / "report.csv").read_bytes() == b"metric,value,stderr,units\r\n"
     assert (tmp_path / "manifest.json").read_bytes() == b"{}\n"
+
+
+@pytest.mark.parametrize("value, text", [
+    (0.1 + 0.2, "0.30000000000000004"),
+    (np.float64(0.25), "0.25"),
+    (np.float64(0.1) + np.float64(0.2), "0.30000000000000004"),
+    (np.float32(0.1), "0.10000000149011612"),
+    (np.float64(-0.0), "-0.0"),
+    (np.float64(np.inf), "inf"),
+    (True, "1"),
+    (False, "0"),
+    (np.True_, "1"),
+    (np.False_, "0"),
+    (4, "4"),
+    (np.int64(-3), "-3"),
+    ("p,q", "p,q"),
+    (None, "None"),
+], ids=repr)
+def test_fmt_writes_numpy_values_as_python_ones(value, text):
+    # a numpy float is written as the round-trip text of its double, a
+    # numpy boolean as 1/0, never as numpy's own repr
+    assert fmt(value) == text
+
+
+def test_numpy_values_reach_the_report_files_as_numbers(tmp_path):
+    report = Report({"seed": np.int64(3)})
+    report.add("fidelity", np.float64(0.25), stderr=np.float64(0.125))
+    report.add("physical", np.True_)
+    report.attach_csv("t.csv", ("x",), [(np.float64(1.5),), (np.False_,)])
+    emit_report(report, tmp_path)
+    assert (tmp_path / "report.csv").read_bytes() == (
+        b"metric,value,stderr,units\r\n"
+        b"fidelity,0.25,0.125,dimensionless\r\n"
+        b"physical,1,,dimensionless\r\n"
+    )
+    assert b"fidelity  0.25 +- 0.125  [dimensionless]" in (tmp_path / "report.txt").read_bytes()
+    assert (tmp_path / "t.csv").read_bytes() == b"x\r\n1.5\r\n0\r\n"

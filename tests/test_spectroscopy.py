@@ -6,10 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import DEMO_CONFIG, GHZ, MHZ, ten_defect_config
+from conftest import DEMO_CONFIG, GHZ, MHZ, crowded_config_dict, ten_defect_config
 from phasebus.cli import main
 from phasebus.config_io import example_config_dict, load_config, parse_config
 from phasebus.device import BiasModel, DeviceConfig, TlsParams
+import phasebus.spectroscopy as spectroscopy
 from phasebus.spectroscopy import (
     DETECTION_BAND_HZ,
     AvoidedCrossing,
@@ -422,6 +423,45 @@ class TestZeroObservedGap:
             config = parse_config(example_config_dict(10, seed))
             scan = synth_spectroscopy(config, default_bias_grid(config, 12))
             assert np.all(np.isfinite(scan.branch_frequencies)), seed
+
+
+class TestCalibrationStatus:
+    """A synthesized scan says whether calibration met its tolerance; each
+    way it can stop short says no."""
+
+    def test_converged_demo(self):
+        demo = load_config(DEMO_CONFIG)
+        assert synth_spectroscopy(demo, default_bias_grid(demo, 2000)).calibrated is True
+
+    @pytest.mark.parametrize("points", [3, 12], ids=["edge-minimum", "zero-splitting"])
+    def test_coarse_demo_grids(self, points):
+        demo = load_config(DEMO_CONFIG)
+        assert synth_spectroscopy(demo, default_bias_grid(demo, points)).calibrated is False
+
+    def test_crowded_config_stops_on_an_edge_minimum(self):
+        config = parse_config(crowded_config_dict())
+        assert synth_spectroscopy(config, default_bias_grid(config, 2000)).calibrated is False
+
+    def test_pass_limit(self, monkeypatch):
+        # observations read 1 % wide and narrow in turn, which no model
+        # update can calibrate away, so the tolerance is never met
+        observe = spectroscopy._observed_crossings
+        calls = []
+
+        def alternating(*args):
+            calls.append(1)
+            gap, freq = observe(*args)
+            return gap * (1.01 if len(calls) % 2 else 0.99), freq
+
+        monkeypatch.setattr(spectroscopy, "_observed_crossings", alternating)
+        cfg = single_tls_config()
+        assert synth_spectroscopy(cfg, default_bias_grid(cfg, 300)).calibrated is False
+        assert len(calls) == 12
+
+    def test_hand_built_scan_has_no_status(self):
+        bias = np.linspace(0.1, 0.9, 5)
+        scan = SpectroscopyScan(bias, bare_bus_frequency(bias, 2 * np.pi * 7.6e9)[:, None])
+        assert scan.calibrated is None
 
 
 def per_point_extraction(scan):
