@@ -3,16 +3,17 @@
 A string like ``"XZI"`` puts X on qubit 0, Z on qubit 1 and identity on
 qubit 2 (reading order matches qubit order).
 
-Every action goes through the binary (x, z) form of Aaronson & Gottesman,
-PRA 70, 052328 (2004): P = i^{|x & z|} X^x Z^z, where bit q of each mask
-is qubit q.  X sets the x bit, Z the z bit and Y = i X Z sets both, so
-P|psi> is one gather and one sign vector over integer masks.
+``apply_pauli``, ``pauli_sum_matrix`` and ``pauli_decompose`` share ``_action``, the
+(x, z) form of Aaronson & Gottesman, PRA 70, 052328 (2004): P = i^{|x & z|} X^x Z^z,
+bit q of a mask being qubit q (X sets x, Z sets z, Y = i X Z both), so row k of P
+holds one phase, at column k ^ x.  ``PauliString.matrix`` is the Kronecker reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import product
 
 import numpy as np
 
@@ -71,66 +72,57 @@ class PauliString:
         return reduce(np.kron, (SIGMA[c] for c in reversed(self.labels)))
 
 
-def apply_pauli(pauli: PauliString, state: StateVector) -> StateVector:
-    """P|psi> as one gather and one sign vector:
-    (P psi)[k] = i^{|x & z|} (-1)^{|(k ^ x) & z|} psi[k ^ x]."""
-    if pauli.num_qubits != state.num_qubits:
+def _action(pauli: PauliString, num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(src, factor) with P[k, src[k]] = factor[k], row k's one nonzero entry:
+    src = k ^ x and factor = i^{|x & z|} (-1)^{|(k ^ x) & z|}."""
+    if pauli.num_qubits != num_qubits:
         raise ValueError("qubit counts differ")
-    src = np.arange(state.amplitudes.size) ^ pauli.x_mask
+    src = np.arange(2**num_qubits) ^ pauli.x_mask
     phase = _I_POWERS[(pauli.x_mask & pauli.z_mask).bit_count() % 4]
-    sign = np.where(np.bitwise_count(src & pauli.z_mask) & 1, -phase, phase)
-    return StateVector(sign * state.amplitudes[src])
+    return src, np.where(np.bitwise_count(src & pauli.z_mask) & 1, -phase, phase)
+
+
+def apply_pauli(pauli: PauliString, state: StateVector) -> StateVector:
+    """P|psi> as one gather and one phase vector: (P psi)[k] = factor[k] psi[src[k]]."""
+    src, factor = _action(pauli, state.num_qubits)
+    return StateVector(factor * state.amplitudes[src])
 
 
 def pauli_sum_matrix(terms, num_qubits: int) -> np.ndarray:
     """Dense matrix of sum_k coeff_k * P_k on ``num_qubits`` qubits."""
     mat = np.zeros((2**num_qubits, 2**num_qubits), dtype=np.complex128)
+    rows = np.arange(2**num_qubits)
     for coeff, pauli in terms:
-        mat += coeff * pauli.matrix()
+        src, factor = _action(pauli, num_qubits)
+        mat[rows, src] += coeff * factor
     return mat
 
 
 def pauli_decompose(matrix: np.ndarray, drop_below: float = 1e-12):
-    """Expand a 2^n x 2^n matrix in the Pauli basis.
+    """Expand a 2^n x 2^n matrix in the Pauli basis, by definition.
 
-    Returns a list of (coefficient, PauliString) with coefficient
-    tr(P M) / 2^n; entries below ``drop_below`` in magnitude are discarded
-    and real coefficients are returned as plain floats.  One qubit axis pair
-    is contracted at a time, so the transform stays cheap up to ~10 qubits.
+    Returns a list of (coefficient, PauliString) in ``product("IXYZ",
+    repeat=n)`` order, with coefficient tr(P M) / 2^n = sum_k factor[k]
+    M[src[k], k] / 2^n; entries below ``drop_below`` in magnitude are
+    discarded and real coefficients are returned as plain floats.  One
+    2^n-long sum per string makes it O(8^n): 1 to 1.5 s at n = 8.
     """
     m = np.asarray(matrix, dtype=np.complex128)
-    d = m.shape[0]
+    d = m.shape[0] if m.ndim == 2 else 0
     n = d.bit_length() - 1
-    if m.ndim != 2 or m.shape != (d, d) or 2**n != d:
-        raise ValueError("matrix dimension is not a power of two")
-
-    t = m.reshape((2,) * (2 * n))
-    # reorder to one (row_q, col_q) pair per qubit, qubit 0 first
-    perm = []
-    for q in range(n):
-        perm.append(n - 1 - q)
-        perm.append(2 * n - 1 - q)
-    t = t.transpose(perm).reshape((4,) * n)
-
-    # tr(P M) = sum P[a,b] M[b,a]; axis value f = 2*row + col of M, so the
-    # per-qubit weight is sigma_alpha[col, row] = sigma[f % 2, f // 2]
-    weight = np.empty((4, 4), dtype=np.complex128)
-    for ai, a in enumerate("IXYZ"):
-        for f in range(4):
-            weight[ai, f] = SIGMA[a][f % 2, f // 2]
-
-    # each step consumes the last remaining qubit axis and prepends its alpha,
-    # leaving final axes ordered (alpha_0, ..., alpha_{n-1})
-    for _ in range(n):
-        t = np.tensordot(weight, t, axes=([1], [n - 1]))
-    coeffs = t / d
-
+    if n < 1 or m.shape != (d, d) or 2**n != d:
+        raise ValueError("matrix is not 2^n x 2^n with n >= 1")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
+    cols = np.arange(d)
     terms = []
-    for idx in np.ndindex(*(4,) * n):
-        coeff = complex(coeffs[idx])
+    for letters in product("IXYZ", repeat=n):
+        pauli = PauliString("".join(letters))
+        src, factor = _action(pauli, n)
+        coeff = complex(factor @ m[src, cols]) / d
         if abs(coeff) <= drop_below:
             continue
         if abs(coeff.imag) < 1e-13 * max(1.0, abs(coeff.real)):
             coeff = coeff.real
-        terms.append((coeff, PauliString("".join("IXYZ"[a] for a in idx))))
+        terms.append((coeff, pauli))
     return terms

@@ -42,7 +42,13 @@ def test_src_without_package_refused(child_usage, tmp_path, capsys):
 
 
 def test_table_gives_medians_per_tree(child_usage):
+    # CPU median, then its first and third quartiles, per tree
     samples = {"w-witness/witness-w5": ([(0.2, 37.5), (0.3, 37.7), (0.1, 37.6)],
                                         [(0.2, 34.1), (0.2, 34.0), (0.4, 34.2)])}
     lines = child_usage.table(samples).splitlines()
-    assert lines[1].split() == ["w-witness/witness-w5", "0.200", "0.200", "37.60", "34.10"]
+    assert lines[0].split()[1:7:2] == ["cpu_s", "q1", "q3"]
+    assert lines[1].split() == ["w-witness/witness-w5", "0.200", "0.100", "0.300",
+                                "0.200", "0.200", "0.400", "37.60", "34.10"]
+    one_round = {"lab-day/tomo": ([(0.16, 34.4)], [(0.17, 34.5)])}
+    assert child_usage.table(one_round).splitlines()[1].split()[1:7] == [
+        "0.160", "0.160", "0.160", "0.170", "0.170", "0.170"]

@@ -18,7 +18,9 @@ Each round runs every experiment of the ``lab-day``, ``w-witness`` and
 ``full-model`` lists once per tree as ``python -m phasebus``, alternating
 which tree goes first, with one BLAS thread as the benchmark runs them. Each
 child's user plus system CPU and its peak RSS come from ``os.wait4``. The
-table gives the median over the rounds per experiment and tree. Exits 1 if
+table gives the median over the rounds per experiment and tree, and beside
+each CPU median its first and third quartiles (``statistics.quantiles``, as
+``bench/run.py`` takes them), so a move can be told from host noise. Exits 1 if
 any child fails, naming it, and 2 when a ``src`` path holds no ``phasebus``
 package.
 """
@@ -100,14 +102,20 @@ def measure(srcs: list[str], rounds: int, seed: int, rundir: str):
     return samples
 
 
+def quartiles(xs) -> tuple[float, float, float]:
+    """(q1, median, q3); a single sample is all three."""
+    return tuple(statistics.quantiles(xs, n=4)) if len(xs) > 1 else (xs[0],) * 3
+
+
 def table(samples) -> str:
-    lines = [f"{'experiment':<28} {'cpu_s A':>8} {'cpu_s B':>8} "
-             f"{'rss_mb A':>9} {'rss_mb B':>9}"]
+    lines = [f"{'experiment':<28} {'cpu_s A':>8} {'q1 A':>6} {'q3 A':>6} "
+             f"{'cpu_s B':>8} {'q1 B':>6} {'q3 B':>6} {'rss_mb A':>9} {'rss_mb B':>9}"]
     for label, trees in samples.items():
-        cpu = [statistics.median(s[0] for s in tree) for tree in trees]
+        cpu = [quartiles([s[0] for s in tree]) for tree in trees]
         rss = [statistics.median(s[1] for s in tree) for tree in trees]
-        lines.append(f"{label:<28} {cpu[0]:>8.3f} {cpu[1]:>8.3f} "
-                     f"{rss[0]:>9.2f} {rss[1]:>9.2f}")
+        lines.append(f"{label:<28} "
+                     + " ".join(f"{med:>8.3f} {q1:>6.3f} {q3:>6.3f}" for q1, med, q3 in cpu)
+                     + f" {rss[0]:>9.2f} {rss[1]:>9.2f}")
     return "\n".join(lines)
 
 
@@ -134,7 +142,7 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(rundir)
     print(f"A = {args.src_a}\nB = {args.src_b}\n"
-          f"medians of {args.rounds} rounds, seed {args.seed}")
+          f"medians (CPU also quartiles) of {args.rounds} rounds, seed {args.seed}")
     print(table(samples))
     return 0
 

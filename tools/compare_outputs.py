@@ -83,7 +83,10 @@ commands are:
   configs above and on a crowded 9-TLS config written beside them, whose
   TLS T1 splits wider than its spacing: its calibration stops on a gap
   minimum at the scan edge, so the edge fallback and the dip test that
-  follows it are compared at 2,000 points too
+  follows it are compared at 2,000 points too; and on a 2-TLS pair config
+  written beside them, whose wider TLS A splits close to its spacing from
+  TLS B: calibration converges, but A's gap rises less than the dip depth
+  toward B, so A's crossing goes unmatched (``spectroscopy-2000-pair``)
 - every demo script
 
 stderr is not compared: warnings carry source paths and line numbers.
@@ -190,6 +193,10 @@ CROWDED_CONFIG = os.path.join("demos", "device_config_tls9_crowded.json")
 CROWDED_TLS = [(5.01671, 29.722), (5.112652, 91.722), (5.192194, 46.517),
                (5.303341, 47.748), (5.411604, 20.72), (5.510599, 90.213),
                (5.599926, 58.727), (5.718418, 82.606), (5.840489, 76.568)]
+# a 2-TLS config whose TLS A splitting (96.6 MHz) nears its 86.7 MHz spacing
+# from TLS B, written beside the demo config
+PAIR_CONFIG = os.path.join("demos", "device_config_tls2_pair.json")
+PAIR_TLS = [("A", 6.0058, 96.6), ("B", 6.0925, 63.3)]
 SPECTROSCOPY_2000 = ["spectroscopy", "--points", "2000"]
 SEEDS = (1, 2)
 
@@ -220,6 +227,7 @@ def cases() -> dict[str, list[str]]:
     grid_2000 = [(tls8_config(seed), {f"spectroscopy-2000-tls8-seed{seed}": SPECTROSCOPY_2000})
                  for seed in SEEDS]
     grid_2000.append((CROWDED_CONFIG, {"spectroscopy-2000-crowded": SPECTROSCOPY_2000}))
+    grid_2000.append((PAIR_CONFIG, {"spectroscopy-2000-pair": SPECTROSCOPY_2000}))
     for config, extra in ((CONFIG, EXTRA), (REVERSED_CONFIG, REVERSED),
                           (MINIMAL_CONFIG, MINIMAL), (QUOTED_CONFIG, QUOTED),
                           *grid_2000):
@@ -249,6 +257,11 @@ def run_tree(src: str, rundir: str) -> dict[str, tuple[int, bytes]]:
             "device": {"omega10_ghz": 6.0, "omega_p0_ghz": 7.6},
             "tls": [{"id": f"T{k}", "omega_r_ghz": f, "splitting_mhz": d}
                     for k, (f, d) in enumerate(CROWDED_TLS)],
+        },
+        PAIR_CONFIG: {
+            "device": {"omega10_ghz": 6.0, "omega_p0_ghz": 7.6},
+            "tls": [{"id": name, "omega_r_ghz": f, "splitting_mhz": d}
+                    for name, f, d in PAIR_TLS],
         },
     }
     for path, variant in variants.items():
