@@ -136,16 +136,18 @@ def _diagonal(config: DeviceConfig, omega_bus: float, k: np.ndarray) -> np.ndarr
 def full_hamiltonian(config: DeviceConfig) -> np.ndarray:
     """Dense lab-frame Hamiltonian of the bus plus every TLS.
 
-    H = -(omega10/2) Z_bus - sum_j [ (omega_r^j/2) Z_j + S_j X_bus X_j ],
-    real symmetric in the computational basis.  Each X_bus X_j flips two
-    bits, so H conserves excitation parity; ``rwa_infidelity`` evolves only
-    the odd block (``odd_parity_block``) and never builds this matrix.
+    H = -(omega10/2) Z_bus + sum_j [ S_j X_bus X_j - (omega_r^j/2) Z_j ],
+    real symmetric in the computational basis.  On resonance the exchange
+    turns |1g> into cos(S t)|1g> - i sin(S t)|0e>, the -i transfer phase of
+    ``exchange_window_gate``.  Each X_bus X_j flips two bits, so H conserves
+    excitation parity; ``rwa_infidelity`` evolves only the odd block
+    (``odd_parity_block``) and never builds this matrix.
     """
     n = config.num_qubits
     k = np.arange(2**n)
     h = np.zeros((2**n, 2**n), dtype=np.complex128)
     for j, tls in enumerate(config.tls, start=1):
-        h[k, k ^ (1 | 1 << j)] = -tls.coupling  # X_bus X_j flips bits 0 and j
+        h[k, k ^ (1 | 1 << j)] = tls.coupling  # X_bus X_j flips bits 0 and j
     h[k, k] = _diagonal(config, config.omega10, k)
     return h
 
@@ -158,14 +160,14 @@ def odd_parity_block(
     matrix and, for each of its rows, the register index of that state.
 
     Row p holds TLS bits p and the bus bit that makes the parity odd, so the
-    indices ascend and row 0 is |1, g, ..., g>.  Each X_bus X_j moves row p
-    to row p ^ 2^(j-1).
+    indices ascend and row 0 is |1, g, ..., g>.  Each +S_j X_bus X_j moves
+    row p to row p ^ 2^(j-1).
     """
     p = np.arange(2**config.num_tls)
     index = (p << 1) | (1 - np.bitwise_count(p) % 2)
     h = np.zeros((p.size, p.size))
     for j, tls in enumerate(config.tls, start=1):
-        h[p, p ^ 1 << (j - 1)] = -tls.coupling
+        h[p, p ^ 1 << (j - 1)] = tls.coupling
     h[p, p] = _diagonal(config, omega_bus, index)
     return h, index
 

@@ -18,10 +18,9 @@ narrowest unsigned type that holds its m bits, ``np.min_scalar_type(2**m
 - 1)``: one byte for m <= 8, two for m = 9 or 10.
 
 Witness estimation and tomography measure copies of one prepared register
-state, setting by setting, and release each setting's shots before the
-next is drawn.  A sampled witness setting holds 9 to 10 bytes per shot
-(its pattern and one float64 shot value, the variance taken in place),
-tomography about 1 (its two-bit patterns, counted block by block);
+state, setting by setting, reduce each setting's shots to counts per
+outcome pattern and release them before the next is drawn.  A setting
+holds 1 to 2 bytes per shot, its patterns, counted block by block;
 ``keep_records`` adds each retained setting's 1 to 2 bytes per shot.
 """
 
@@ -252,6 +251,17 @@ def sample_shots(
     return ShotRecord(tuple(qubits), tuple(bases), patterns)
 
 
+def _pattern_counts(record: ShotRecord) -> np.ndarray:
+    """Shots per outcome pattern, counted one draw block at a time: a single
+    ``np.bincount`` over the record would cast it all to intp, 8 bytes per
+    shot."""
+    size = 2 ** len(record.qubits)
+    counts = np.zeros(size, dtype=np.int64)
+    for start in range(0, record.patterns.size, _SHOT_BLOCK):
+        counts += np.bincount(record.patterns[start:start + _SHOT_BLOCK], minlength=size)
+    return counts
+
+
 # witness estimation -------------------------------------------------------------
 
 
@@ -274,12 +284,13 @@ def estimate_witness_sampled(
     ``state`` is the prepared register state (bus + TLSs), which
     ``tls_register_state`` first checks for a bus in |0> and TLSs past n
     in |g>: every setting reads TLS 1..n of its own copies of it, witness
-    qubit q on TLS q+1.  The estimate combines the per-setting shot values
-    with the witness offset; the standard error adds the per-setting sample
-    variances.  Each setting's record and shot values are released before
-    the next setting is drawn.  No readout-bias correction is applied: at
-    F < 1 the raw estimate shrinks by (2F - 1) per measured qubit, the
-    ``bias_factor`` of ``readout``.  ``records`` holds each setting's ``ShotRecord`` when
+    qubit q on TLS q+1.  Each setting's S shots are reduced to pattern
+    counts c; with the setting's value table v, its mean is c @ v / S and
+    its sample variance c @ (v - mean)**2 / (S - 1).  The estimate adds the
+    means to the witness offset, the standard error the variances over S.
+    No readout-bias correction is applied: at F < 1 the raw estimate
+    shrinks by (2F - 1) per measured qubit, the ``bias_factor`` of
+    ``readout``.  ``records`` holds each setting's ``ShotRecord`` when
     ``keep_records`` is set, else None.
     """
     if shots_per_setting < 2:
@@ -299,10 +310,11 @@ def estimate_witness_sampled(
         )
         if keep_records:
             records.append(record)
-        # the shot values die in the call and the record below, so the
-        # next setting draws into an empty working set
-        mean, var = _mean_and_variance(_value_table(setting)[record.patterns])
-        del record
+        counts = _pattern_counts(record)
+        del record  # the next setting draws into an empty working set
+        values = _value_table(setting)
+        mean = counts @ values / shots_per_setting
+        var = counts @ (values - mean) ** 2 / (shots_per_setting - 1)
         total += mean
         var_total += var / shots_per_setting
     return WitnessEstimate(
@@ -310,17 +322,6 @@ def estimate_witness_sampled(
         stderr=float(np.sqrt(var_total)),
         records=records if keep_records else None,
     )
-
-
-def _mean_and_variance(values: np.ndarray) -> tuple[float, float]:
-    """``values.mean()`` and ``values.var(ddof=1)``, bit for bit, with the
-    variance taken in place: ``values`` is overwritten by its squared
-    deviations, so no second shot-length array is built."""
-    n = values.size
-    mean = values.sum() / n
-    values -= mean
-    values *= values
-    return float(mean), float(values.sum() / (n - 1))
 
 
 def _value_table(setting: MeasurementSetting) -> np.ndarray:
@@ -340,17 +341,6 @@ def _value_table(setting: MeasurementSetting) -> np.ndarray:
 
 
 # two-qubit tomography -----------------------------------------------------------
-
-
-def _pattern_counts(record: ShotRecord) -> np.ndarray:
-    """Shots per outcome pattern, counted one draw block at a time: a single
-    ``np.bincount`` over the record would cast it all to intp, 8 bytes per
-    shot."""
-    size = 2 ** len(record.qubits)
-    counts = np.zeros(size, dtype=np.int64)
-    for start in range(0, record.patterns.size, _SHOT_BLOCK):
-        counts += np.bincount(record.patterns[start:start + _SHOT_BLOCK], minlength=size)
-    return counts
 
 
 _AXES = ("I", "X", "Y", "Z")

@@ -95,8 +95,8 @@ class TestFullHamiltonian:
         assert h[1, 1] == pytest.approx((omega - omega_r) / 2)
         assert h[2, 2] == pytest.approx((omega_r - omega) / 2)
         assert h[3, 3] == pytest.approx((omega + omega_r) / 2)
-        assert h[1, 2] == pytest.approx(-s)  # resonant element
-        assert h[0, 3] == pytest.approx(-s)  # counter-rotating element
+        assert h[1, 2] == pytest.approx(s)  # resonant element
+        assert h[0, 3] == pytest.approx(s)  # counter-rotating element
 
     def test_real_symmetric(self):
         h = full_hamiltonian(simple_config(3))
@@ -213,6 +213,21 @@ class TestRwaInfidelity:
         for ratio in (1e-3, 1e-2):
             cfg = _resonant_config(1, ratio)
             assert rwa_infidelity(cfg, 1, cfg.swap_time(1)) < 1e-12
+
+    @pytest.mark.parametrize("fraction", [0.25, 0.37, 0.5, 0.75, 1.0, 1.5])
+    def test_single_tls_window_is_exact_at_every_length(self, fraction):
+        # the full Hamiltonian's exchange carries the gate's -i transfer
+        # phase, so the closed pair agrees with the window at every t, not
+        # only at tau, where the two signs differ by a global phase
+        cfg = _resonant_config(1, 1e-2)
+        assert rwa_infidelity(cfg, 1, fraction * cfg.swap_time(1)) < 1e-12
+
+    def test_far_spectator_barely_perturbs_a_half_window(self):
+        # a second TLS detuned by 1,000 S shifts the pair only at order
+        # (S / detuning)^2; with the opposite exchange sign this reads 1
+        omega = 6.0 * GHZ
+        cfg = _resonant_config(2, 1e-3, spacing_hz=1000 * 1e-3 * omega / (2 * np.pi))
+        assert rwa_infidelity(cfg, 1, 0.5 * cfg.swap_time(1)) < 1e-6
 
     def test_spectator_tls_makes_mismatch_monotone(self):
         # the diagnostic quantifies off-resonant spectators: with a second

@@ -15,7 +15,6 @@ from phasebus.measurement import (
     ReadoutModel,
     ShotRecord,
     _conditional_tables,
-    _mean_and_variance,
     _pattern_outcomes,
     _value_table,
     derive_rng,
@@ -346,40 +345,32 @@ class TestValueTable:
             assert np.array_equal(_value_table(setting), shot_values(setting, outcomes))
 
 
-MOMENT_LENGTHS = [2, 7, 8, 9, 127, 128, 129, _SHOT_BLOCK - 1, _SHOT_BLOCK,
-                  _SHOT_BLOCK + 1, 3 * _SHOT_BLOCK + 7, 100000]
-
-
-class TestMeanAndVariance:
-    @pytest.mark.parametrize("n", MOMENT_LENGTHS)
-    @pytest.mark.parametrize("kind", ["normal", "table"])
-    def test_in_place_equals_numpy(self, n, kind):
-        # numpy's pairwise sums change their blocking at 8 and 128 elements
-        rng = np.random.default_rng(n)
-        if kind == "normal":
-            values = rng.normal(0.3, 2.0, n)
-        else:  # shot values: a few table entries, as a setting reads them
-            values = rng.normal(size=16)[rng.integers(0, 16, n)]
-        mean, var = float(np.mean(values)), float(np.var(values, ddof=1))
-        got = _mean_and_variance(values.copy())
-        assert got[0].hex() == mean.hex() and got[1].hex() == var.hex()
-
-    def test_estimate_equals_whole_array_moments(self):
-        # the estimate and its standard error from numpy's own moments of
-        # each kept record's shot values
+class TestCountsEstimator:
+    def test_estimate_equals_counts_formula(self):
+        # each kept record recounted by one whole-record bincount: the
+        # estimate is the counts formula bit for bit, and numpy's moments of
+        # the shot values agree to roundoff
         state = run_w_protocol(simple_config(4), 4).final_state
         witness = w_witness(4)
-        shots = _SHOT_BLOCK + 1
+        shots = 3 * _SHOT_BLOCK + 7
         est = estimate_witness_sampled(
             state, witness, shots, ReadoutModel(0.96, 8), keep_records=True
         )
         total, var_total = witness.offset, 0.0
+        moments_total, moments_var = witness.offset, 0.0
         for setting, record in zip(group_settings(witness), est.records):
-            values = _value_table(setting)[record.patterns.astype(np.int64)]
-            total += float(values.mean())
-            var_total += float(values.var(ddof=1)) / shots
+            counts = np.bincount(record.patterns, minlength=2 ** len(setting.bases))
+            values = _value_table(setting)
+            mean = counts @ values / shots
+            total += mean
+            var_total += counts @ (values - mean) ** 2 / (shots - 1) / shots
+            shot_values = values[record.patterns.astype(np.int64)]
+            moments_total += float(shot_values.mean())
+            moments_var += float(shot_values.var(ddof=1)) / shots
         assert est.value == float(total)
         assert est.stderr == float(np.sqrt(var_total))
+        assert est.value == pytest.approx(moments_total, rel=1e-13, abs=0)
+        assert est.stderr == pytest.approx(np.sqrt(moments_var), rel=1e-13, abs=0)
 
 
 class TestWitnessEstimation:

@@ -39,7 +39,7 @@ def kron_hamiltonian(config):
     h += -(config.omega10 / 2.0) * term({0: "Z"})
     for j, tls in enumerate(config.tls, start=1):
         h += -(tls.omega_r / 2.0) * term({j: "Z"})
-        h += -tls.coupling * term({0: "X", j: "X"})
+        h += tls.coupling * term({0: "X", j: "X"})
     return h
 
 

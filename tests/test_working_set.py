@@ -14,12 +14,13 @@ candidates tie exactly, and on a random ten-TLS state it traced 1.7 and
 1.0 MiB, against 52 and 5.0 MiB for the same search expanding whole levels.
 
 At 10^6 shots per setting the sampled paths are bounded by bytes per
-shot: the c10 estimate (9.6 MiB), the same estimate keeping its records
-(11.5 MiB) and ``tomography_two_qubit`` on ``bell:1:2`` (1.2 MiB) stay
-below bounds that int64 patterns (8 bytes per shot, counted through a
-whole-record ``np.bincount``), a separate variance temporary or the
-previous setting's arrays, still alive during the next draw, exceed:
-those traced 23.6, 30.5 and 15.5 MiB.
+shot: the c10 estimate (2.7 MiB), the same estimate keeping its records
+(4.6 MiB) and ``tomography_two_qubit`` on ``bell:1:2`` (1.2 MiB) reduce
+each setting to pattern counts block by block, and stay below bounds that
+a float64 shot value per shot (9.6 and 11.5 MiB), int64 patterns (8 bytes
+per shot, counted through a whole-record ``np.bincount``) or the previous
+setting's arrays, still alive during the next draw, exceed: the last two
+traced 23.6, 30.5 and 15.5 MiB.
 
 A cluster chain longer than the device is refused before its 2^n target
 or witness is built: at n = 22 that target and its sign arithmetic traced
@@ -95,7 +96,7 @@ def test_c10_estimate_at_100000_shots(c10_state):
     assert peak < 8 * MIB
 
 
-@pytest.mark.parametrize("keep_records, bound", [(False, 12), (True, 14)])
+@pytest.mark.parametrize("keep_records, bound", [(False, 6), (True, 7)])
 def test_c10_estimate_at_a_million_shots(c10_state, keep_records, bound):
     witness = cluster_witness(10)
     peak = traced_peak(lambda: estimate_witness_sampled(

@@ -90,6 +90,9 @@ commands are:
 - every demo script
 
 stderr is not compared: warnings carry source paths and line numbers.
+Where a ``report.csv`` differs, each changed field of a metric present on
+both sides that parses as a float on both is also printed with its
+absolute and relative difference, so a roundoff move shows its size.
 Exits 1 when anything differs, 0 otherwise. Exits 2 before running anything
 when a ``src`` path holds no ``phasebus`` package (every command would fail
 alike in both trees) or ``--work`` names anything but an empty directory.
@@ -98,7 +101,9 @@ alike in both trees) or ``--work`` names anything but an empty directory.
 from __future__ import annotations
 
 import argparse
+import csv
 import difflib
+import io
 import json
 import os
 import shutil
@@ -294,6 +299,29 @@ def show_diff(label: str, a: bytes, b: bytes) -> None:
         print(f"    {line}")
 
 
+def numeric_deltas(a: bytes, b: bytes) -> list[str]:
+    """One line per changed field of a ``report.csv`` metric on both sides
+    whose old and new text both parse as floats."""
+    old_rows, new_rows = (list(csv.reader(io.StringIO(text.decode(errors="replace"))))
+                          for text in (a, b))
+    header, *old_body = old_rows or [[]]
+    new_by_metric = {row[0]: row for row in new_rows[1:] if row}
+    lines = []
+    for old in old_body:
+        new = new_by_metric.get(old[0]) if old else None
+        for column, x, y in zip(header[1:], old[1:], new[1:] if new else ()):
+            if x == y:
+                continue
+            try:
+                fx, fy = float(x), float(y)
+            except ValueError:
+                continue
+            delta = abs(fy - fx)
+            rel = delta / abs(fx) if fx else float("inf")
+            lines.append(f"{old[0]} {column}: {x} -> {y} (abs {delta:.3g}, rel {rel:.3g})")
+    return lines
+
+
 def compare(old_dir: str, new_dir: str, old_runs: dict, new_runs: dict) -> int:
     differences = 0
     for name in old_runs:
@@ -317,6 +345,9 @@ def compare(old_dir: str, new_dir: str, old_runs: dict, new_runs: dict) -> int:
             b = fh.read()
         if a != b:
             show_diff(rel, a, b)
+            if os.path.basename(rel) == "report.csv":
+                for line in numeric_deltas(a, b):
+                    print(f"    delta {line}")
             differences += 1
     print(f"{len(old_runs)} commands, {len(old_files | new_files)} output files, "
           f"{differences} differences")
